@@ -12,7 +12,8 @@ the clean subspace.
 
 Subpackages
 -----------
-linalg      orthonormal bases, restricted least squares, coherence, angles
+linalg      orthonormal bases, the restricted least-squares solver, coherence,
+            angles
 sampling    seeded Philox streams and uniform index-set sampling
 synthetic   instance generation, bounded noise, the observation oracle
 lrebn       the adaptive completion algorithm and its error certificate
@@ -22,7 +23,9 @@ cli         command-line front end (generate / run / sweep / verify)
 
 from .linalg import (
     OrthonormalBasis,
+    RestrictedSolver,
     coherence,
+    extend_basis,
     orthonormalize,
     project,
     reconstruct_column,
@@ -63,7 +66,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "OrthonormalBasis",
+    "RestrictedSolver",
     "coherence",
+    "extend_basis",
     "orthonormalize",
     "project",
     "reconstruct_column",

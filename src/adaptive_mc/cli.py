@@ -138,20 +138,23 @@ def cmd_generate(args):
 
 def _build_config(args, epsilon, r, meta=None):
     if args.mu_upper is not None:
+        # A user-supplied bound goes to LrebnConfig unchanged, which
+        # rejects anything that is not a finite number >= 1.
         mu = args.mu_upper
     elif args.estimate_mu:
         # Estimation mode must not peek at the instance's true coherence;
         # the first budget (nothing estimated yet) uses the floor value.
         mu = 1.0
     elif meta is not None and "mu" in meta:
-        mu = float(meta["mu"])
+        # The stored coherence is >= 1 only up to rounding.
+        mu = max(1.0, float(meta["mu"]))
     else:
         mu = 1.0
     return LrebnConfig(
         epsilon=epsilon,
         delta=args.delta,
         r=r,
-        mu_upper=max(1.0, mu),
+        mu_upper=mu,
         budget_cap_to_m=not args.no_budget_cap,
         angle_cap_enabled=not args.no_angle_cap,
         estimate_mu=args.estimate_mu,

@@ -4,14 +4,18 @@ Dense linear-algebra primitives used throughout the package.
 This module contains the small set of operations the completion algorithm
 and the verification suite are built from:
 
-orthonormalize
-    build an orthonormal basis from a list of vectors (double Gram-Schmidt)
+orthonormalize / extend_basis
+    build an orthonormal basis from a list of vectors, or append one
+    vector's new direction to a basis (one double Gram-Schmidt step)
 project
     orthogonal projection of a vector onto a subspace
-restricted_lstsq / restricted_residual_norm
-    least-squares fit of sampled coordinates against a row-restricted basis
-reconstruct_column
-    lift a restricted least-squares fit back to the full ambient space
+RestrictedSolver
+    least squares against a row-restricted basis ``B_omega``, factored
+    once per (basis, omega) pair and then applied to any number of
+    sampled columns
+restricted_lstsq / restricted_residual_norm / reconstruct_column
+    one-shot wrappers over ``RestrictedSolver``: the fit, its residual,
+    and its lift back to the full ambient space
 coherence / vector_coherence
     alignment of a subspace (or vector) with the coordinate axes
 vector_vector_angle / vector_subspace_angle / subspace_subspace_angle
@@ -33,7 +37,9 @@ __all__ = [
     "DEFAULT_RANK_TOL",
     "LSTSQ_RCOND",
     "OrthonormalBasis",
+    "RestrictedSolver",
     "orthonormalize",
+    "extend_basis",
     "project",
     "restricted_lstsq",
     "restricted_residual_norm",
@@ -174,17 +180,51 @@ def orthonormalize(vectors, rank_tol=DEFAULT_RANK_TOL):
     m = vecs[0].shape[0] if vecs[0].ndim == 1 else -1
     accepted = []
     for v in vecs:
-        v = _as_vector(v, m, "input vector")
-        w = v.copy()
-        for _ in range(2):
-            for u in accepted:
-                w -= (u @ w) * u
-        nrm = np.linalg.norm(w)
-        if nrm > rank_tol:
-            accepted.append(w / nrm)
+        u = _gram_schmidt_step(accepted, _as_vector(v, m, "input vector"),
+                               rank_tol)
+        if u is not None:
+            accepted.append(u)
     if not accepted:
         return OrthonormalBasis.empty(m)
     return OrthonormalBasis(np.column_stack(accepted))
+
+
+def extend_basis(basis, v, rank_tol=DEFAULT_RANK_TOL):
+    """Append the direction ``v`` adds to ``basis``.
+
+    Runs the same double Gram-Schmidt step as ``orthonormalize``, so
+    extending a basis one vector at a time gives bit-for-bit the basis
+    ``orthonormalize`` builds from the whole list, and the existing
+    columns are kept unchanged.
+
+    Returns
+    -------
+    OrthonormalBasis
+        ``basis`` itself when the residual of ``v`` has norm at most
+        ``rank_tol`` (no new dimension); otherwise a basis with one more
+        column.
+    """
+    if rank_tol <= 0:
+        raise ValueError("rank_tol must be positive")
+    v = _as_vector(v, basis.ambient_dim, "v")
+    # Contiguous copies of the columns: the dot products must run on the
+    # same memory layout as in orthonormalize to give the same bits.
+    columns = list(basis.matrix.T.copy())
+    u = _gram_schmidt_step(columns, v, rank_tol)
+    if u is None:
+        return basis
+    return OrthonormalBasis(np.column_stack(columns + [u]))
+
+
+def _gram_schmidt_step(columns, v, rank_tol):
+    """Unit residual of ``v`` after projecting out the orthonormal
+    ``columns`` twice, or None when its norm is at most ``rank_tol``."""
+    w = v.copy()
+    for _ in range(2):
+        for u in columns:
+            w -= (u @ w) * u
+    nrm = np.linalg.norm(w)
+    return w / nrm if nrm > rank_tol else None
 
 
 def project(basis, y):
@@ -199,14 +239,70 @@ def project(basis, y):
     return basis.matrix @ (basis.matrix.T @ y)
 
 
-def restricted_lstsq(basis, omega, y_omega):
-    """Least-squares fit of sampled coordinates against a row-restricted basis.
+class RestrictedSolver:
+    """Least squares against one row-restricted basis, factored once.
 
-    Solves ``min_c || B_omega c - y_omega ||_2`` where ``B_omega`` is the
-    restriction of the basis matrix to the rows in ``omega``.  The
-    restricted matrix is generally not orthonormal, so this is a genuine
-    least-squares problem; singular values below ``LSTSQ_RCOND`` times the
-    largest are truncated and the minimum-norm solution is returned.
+    Between two subspace updates every column is fitted against the same
+    ``B_omega``, the rows of the basis matrix indexed by ``omega``.  The
+    restricted matrix is generally not orthonormal, so each fit is a
+    genuine least-squares problem.  The solver validates ``omega`` and
+    factors ``B_omega`` once, through an SVD whose singular values at or
+    below ``LSTSQ_RCOND`` times the largest are truncated: the rank rule
+    and the minimum-norm solution of ``np.linalg.lstsq`` with that
+    ``rcond``.  Every later fit is two matrix-vector products.
+
+    Attributes
+    ----------
+    basis : OrthonormalBasis
+    omega : ndarray of intp
+        The validated, strictly increasing row index set.
+    degenerate : bool
+        True when ``B_omega`` is rank-deficient below the basis
+        dimension, i.e. the sampled rows do not pin down the fit.
+    """
+
+    __slots__ = ("basis", "omega", "degenerate", "_restricted", "_pinv")
+
+    def __init__(self, basis, omega):
+        self.omega = _check_index_set(omega, basis.ambient_dim)
+        self.basis = basis
+        a = basis.matrix[self.omega, :]
+        if basis.dim == 0:
+            rank = 0
+            pinv = np.zeros((0, self.omega.size))
+        else:
+            u, s, vt = np.linalg.svd(a, full_matrices=False)
+            rank = int(np.count_nonzero(s > LSTSQ_RCOND * s[0]))
+            pinv = (vt[:rank].T / s[:rank]) @ u[:, :rank].T
+        self._restricted = a
+        self._pinv = pinv
+        self.degenerate = rank < basis.dim
+
+    def fit(self, y_omega):
+        """Fit sampled coordinates ``y_omega`` (ordered as ``omega``).
+
+        Returns
+        -------
+        coef : ndarray of shape (dim,)
+            Minimizer of ``|| B_omega coef - y_omega ||_2`` (minimum-norm
+            when ``degenerate``).
+        residual_norm : float
+            ``|| y_omega - B_omega coef ||_2``.
+        degenerate : bool
+        """
+        y = _as_vector(y_omega, self.omega.size, "y_omega")
+        coef = self._pinv @ y
+        residual = float(np.linalg.norm(y - self._restricted @ coef))
+        return coef, residual, self.degenerate
+
+    def lift(self, coef):
+        """The full-length column ``B coef``."""
+        return self.basis.matrix @ coef
+
+
+def restricted_lstsq(basis, omega, y_omega):
+    """Least-squares fit of sampled coordinates against a row-restricted
+    basis; ``RestrictedSolver(basis, omega).fit(y_omega)``.
 
     Returns
     -------
@@ -218,19 +314,12 @@ def restricted_lstsq(basis, omega, y_omega):
         True when the restricted matrix is rank-deficient below the basis
         dimension, i.e. the sampled rows do not pin down the fit.
     """
-    omega = _check_index_set(omega, basis.ambient_dim)
-    y = _as_vector(y_omega, omega.size, "y_omega")
-    if basis.dim == 0:
-        return np.zeros(0), float(np.linalg.norm(y)), False
-    a = basis.matrix[omega, :]
-    coef, _, rank, _ = np.linalg.lstsq(a, y, rcond=LSTSQ_RCOND)
-    residual = float(np.linalg.norm(y - a @ coef))
-    return coef, residual, rank < basis.dim
+    return RestrictedSolver(basis, omega).fit(y_omega)
 
 
 def restricted_residual_norm(basis, omega, y_omega):
     """Norm of the least-squares residual of ``y_omega`` against the
-    row-restricted basis (see ``restricted_lstsq``)."""
+    row-restricted basis (see ``RestrictedSolver``)."""
     return restricted_lstsq(basis, omega, y_omega)[1]
 
 
@@ -251,8 +340,8 @@ def reconstruct_column(basis, omega, y_omega):
     """
     if basis.dim == 0:
         raise ValueError("cannot reconstruct from an empty basis")
-    coef, _, _ = restricted_lstsq(basis, omega, y_omega)
-    return basis.matrix @ coef
+    solver = RestrictedSolver(basis, omega)
+    return solver.lift(solver.fit(y_omega)[0])
 
 
 def coherence(basis):

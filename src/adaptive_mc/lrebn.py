@@ -35,7 +35,6 @@ quantity respects, and at pi/2 always.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -44,10 +43,9 @@ import numpy as np
 
 from .linalg import (
     OrthonormalBasis,
+    RestrictedSolver,
     coherence,
-    orthonormalize,
-    reconstruct_column,
-    restricted_lstsq,
+    extend_basis,
     vector_subspace_angle,
 )
 from .sampling import RngState, sample_uniform_subset
@@ -92,7 +90,7 @@ class LrebnConfig:
         Target rank.
     mu_upper : float
         Upper bound on the coherence of the true column space, supplied
-        by the caller; >= 1.
+        by the caller; finite and >= 1.
     budget_cap_to_m : bool
         Clamp budgets to m (default).  With the cap off the budget
         formula value is used in the threshold as-is, while draws are
@@ -144,8 +142,10 @@ class LrebnConfig:
                 f"delta must be <= r**(-1/8) = {self.r ** (-0.125):.6g} "
                 f"for r = {self.r}"
             )
-        if self.mu_upper < 1.0:
-            raise ValueError("mu_upper must be >= 1")
+        if not (math.isfinite(self.mu_upper) and self.mu_upper >= 1.0):
+            raise ValueError(
+                f"mu_upper must be a finite number >= 1; got {self.mu_upper}"
+            )
         if self.omega_redraw not in (REDRAW_ON_UPDATE, REDRAW_PER_COLUMN):
             raise ValueError(
                 f"omega_redraw must be '{REDRAW_ON_UPDATE}' or "
@@ -215,11 +215,17 @@ def updated_budget(cfg, m, theta_tilde):
     into [1, m] when ``budget_cap_to_m`` (the formula exceeds m easily at
     small m, where full-row sampling is simply exact).
     """
+    return _budgets(cfg, cfg.mu_upper, m, theta_tilde)[1]
+
+
+def _budgets(cfg, mu, m, theta_tilde):
+    """``(d_formula, d_budget)`` from one evaluation of the formula at
+    coherence bound ``mu``: the ceiled value (at least 1) and the budget
+    in force after the optional clamp to m."""
     if not 0.0 <= theta_tilde <= math.pi / 2 + 1e-12:
         raise ValueError("theta_tilde must lie in [0, pi/2]")
-    raw = math.ceil(_budget_formula(cfg.mu_upper, cfg.r, cfg.delta, m, theta_tilde))
-    raw = max(1, raw)
-    return min(raw, int(m)) if cfg.budget_cap_to_m else raw
+    d_formula = max(1, math.ceil(_budget_formula(mu, cfg.r, cfg.delta, m, theta_tilde)))
+    return d_formula, (min(d_formula, int(m)) if cfg.budget_cap_to_m else d_formula)
 
 
 def initial_budget(cfg, m):
@@ -303,6 +309,19 @@ def _effective_mu(cfg, basis):
     return max(1.0, 2.0 * coherence(basis) * basis.dim / cfg.r)
 
 
+def _refresh(cfg, basis, theta_tilde, omega_rng):
+    """Budget event and restricted solver for a new (basis, theta_tilde):
+    refreshes mu, evaluates the budget, and draws the row pattern."""
+    m = basis.ambient_dim
+    mu = _effective_mu(cfg, basis)
+    d_formula, d_budget = _budgets(cfg, mu, m, theta_tilde)
+    solver = RestrictedSolver(
+        basis, sample_uniform_subset(m, min(d_budget, m), omega_rng))
+    event = SubspaceEvent(basis.dim, theta_tilde, mu, d_formula, d_budget,
+                          solver.omega.size)
+    return event, solver
+
+
 def run_lrebn(oracle, cfg):
     """Run the adaptive completion loop against an observation oracle.
 
@@ -323,70 +342,51 @@ def run_lrebn(oracle, cfg):
     omega_rng = RngState(cfg.seed, _STREAM_OMEGA).generator()
 
     basis = OrthonormalBasis.empty(m)
-    raw_columns = []
     k = 0
     theta = 0.0
     bound_violations = 0
-
-    eff_cfg = dataclasses.replace(cfg, mu_upper=_effective_mu(cfg, basis))
-    d_formula = max(1, math.ceil(_budget_formula(eff_cfg.mu_upper, cfg.r, cfg.delta, m, theta)))
-    d_budget = updated_budget(eff_cfg, m, theta)
-    omega = sample_uniform_subset(m, min(d_budget, m), omega_rng)
+    event, solver = _refresh(cfg, basis, theta, omega_rng)
+    d_budget = event.d_budget
 
     theta_trace = [(0, 0.0)]
-    budget_trace = [SubspaceEvent(0, 0.0, eff_cfg.mu_upper, d_formula,
-                                  d_budget, omega.size)]
+    budget_trace = [event]
     records = []
     modes = []
-    M_tilde = np.zeros((m, n))
+    M_tilde = np.zeros((m, n), order="F")
 
     for i in range(n):
         if cfg.omega_redraw == REDRAW_PER_COLUMN:
-            omega = sample_uniform_subset(m, min(d_budget, m), omega_rng)
-        y_omega = oracle.entries(omega, i)
-        if k == 0:
-            residual = float(np.linalg.norm(y_omega))
-        else:
-            _, residual, _ = restricted_lstsq(basis, omega, y_omega)
+            solver = RestrictedSolver(
+                basis, sample_uniform_subset(m, min(d_budget, m), omega_rng))
+        coef, residual, _ = solver.fit(oracle.entries(solver.omega, i))
         eff_residual = 0.0 if residual <= cfg.residual_floor else residual
         thr = residual_threshold(d_budget, m, k, cfg.epsilon, theta)
 
         if eff_residual > thr:
             y_full = oracle.column(i)
-            theta_new_col = vector_subspace_angle(y_full, basis)
-            raw_columns.append(y_full)
-            new_basis = orthonormalize(raw_columns)
-            if new_basis.dim == k:
-                # Numerically nothing new was added; keep the state as is.
-                raw_columns.pop()
-                M_tilde[:, i] = y_full
-                modes.append("FullyObserved")
-                records.append(ColumnRecord(i, "FullyObserved", k, d_budget,
-                                            theta, residual, thr))
-                continue
+            M_tilde[:, i] = y_full
+            modes.append("FullyObserved")
             records.append(ColumnRecord(i, "FullyObserved", k, d_budget,
                                         theta, residual, thr))
+            new_basis = extend_basis(basis, y_full)
+            if new_basis.dim == k:
+                # Numerically nothing new was added; keep the state as is.
+                continue
+            theta_new_col = vector_subspace_angle(y_full, basis)
             basis = new_basis
             k = basis.dim
             if k > cfg.r:
                 bound_violations += 1
             theta = angle_increment(theta, theta_new_col, cfg, k)
-            eff_cfg = dataclasses.replace(cfg, mu_upper=_effective_mu(cfg, basis))
-            d_formula = max(1, math.ceil(_budget_formula(eff_cfg.mu_upper, cfg.r, cfg.delta, m, theta)))
-            d_budget = updated_budget(eff_cfg, m, theta)
-            omega = sample_uniform_subset(m, min(d_budget, m), omega_rng)
+            event, solver = _refresh(cfg, basis, theta, omega_rng)
+            d_budget = event.d_budget
             theta_trace.append((k, theta))
-            budget_trace.append(SubspaceEvent(k, theta, eff_cfg.mu_upper,
-                                              d_formula, d_budget, omega.size))
-            M_tilde[:, i] = y_full
-            modes.append("FullyObserved")
+            budget_trace.append(event)
         else:
-            if k == 0:
-                # Passing the k = 0 test means every sampled entry was
-                # zero; the only consistent completion is the zero column.
-                M_tilde[:, i] = 0.0
-            else:
-                M_tilde[:, i] = reconstruct_column(basis, omega, y_omega)
+            # At k = 0, passing the test means every sampled entry was
+            # zero; the lift through the empty basis is the zero column,
+            # the only consistent completion.
+            M_tilde[:, i] = solver.lift(coef)
             modes.append("Reconstructed")
             records.append(ColumnRecord(i, "Reconstructed", k, d_budget,
                                         theta, residual, thr))

@@ -82,17 +82,21 @@ class ObservationOracle:
     not increase the count, and revealing a full column after a partial
     read only adds the remainder.  Counter updates are serialized so that
     concurrent reads of distinct columns cannot lose counts.
+
+    Every read is confined to one column, so the hidden matrix and the
+    revealed mask are stored column-major: each read gathers from
+    contiguous memory.
     """
 
     def __init__(self, hidden):
-        hidden = np.array(hidden, dtype=float, copy=True)
+        hidden = np.array(hidden, dtype=float, order="F", copy=True)
         if hidden.ndim != 2:
             raise ValueError("hidden matrix must be 2-dimensional")
         if not np.all(np.isfinite(hidden)):
             raise ValueError("hidden matrix entries must be finite")
         hidden.flags.writeable = False
         self._hidden = hidden
-        self._revealed = np.zeros(hidden.shape, dtype=bool)
+        self._revealed = np.zeros(hidden.shape, dtype=bool, order="F")
         self._count = 0
         self._lock = threading.Lock()
 
@@ -139,18 +143,19 @@ class ObservationOracle:
             raise IndexError("row index out of range")
         if np.any(np.diff(omega) <= 0):
             raise ValueError("omega must be strictly increasing")
+        revealed = self._revealed[:, j]
         with self._lock:
-            fresh = ~self._revealed[omega, j]
-            self._count += int(fresh.sum())
-            self._revealed[omega, j] = True
-        return self._hidden[omega, j].copy()
+            self._count += int(omega.size - np.count_nonzero(revealed[omega]))
+            revealed[omega] = True
+        return self._hidden[:, j][omega]
 
     def column(self, j):
         """Reveal and return the full column ``j``."""
         self._check_col(j)
+        revealed = self._revealed[:, j]
         with self._lock:
-            self._count += int((~self._revealed[:, j]).sum())
-            self._revealed[:, j] = True
+            self._count += int(revealed.size - np.count_nonzero(revealed))
+            revealed[:] = True
         return self._hidden[:, j].copy()
 
 

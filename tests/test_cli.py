@@ -114,6 +114,18 @@ def test_run_estimate_mu_starts_from_floor(instance_dir, tmp_path):
     assert summary["k_final"] == "4"
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-5", "0.5"])
+def test_run_rejects_bad_mu_upper(instance_dir, tmp_path, capsys, value):
+    out = tmp_path / "bad"
+    rc = cli.main(["run", "--instance", str(instance_dir),
+                   f"--mu-upper={value}", "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "mu_upper" in err
+    assert "Traceback" not in err
+    assert not (out / "manifest").exists()
+
+
 def test_run_is_thin_shell_over_library(instance_dir, tmp_path):
     out = tmp_path / "cli_run"
     cli.main(["run", "--instance", str(instance_dir), "--delta", "0.05",

@@ -6,8 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adaptive_mc.linalg import (
+    LSTSQ_RCOND,
     OrthonormalBasis,
+    RestrictedSolver,
     coherence,
+    extend_basis,
     orthonormalize,
     project,
     reconstruct_column,
@@ -75,6 +78,24 @@ def test_orthonormalize_accepts_matrix_columns():
     mat = gen.standard_normal((6, 3))
     b = orthonormalize(mat)
     assert b.dim == 3
+
+
+def test_extend_basis_matches_orthonormalize_bit_for_bit():
+    gen = np.random.default_rng(8)
+    vecs = list(gen.standard_normal((5, 9)))
+    # A vector in the span of the first two is dropped by both paths.
+    vecs.insert(2, 0.5 * vecs[0] - 2.0 * vecs[1])
+    basis = OrthonormalBasis.empty(9)
+    for v in vecs:
+        basis = extend_basis(basis, v)
+    expected = orthonormalize(vecs)
+    assert basis.dim == expected.dim == 5
+    np.testing.assert_array_equal(basis.matrix, expected.matrix)
+
+
+def test_extend_basis_returns_same_basis_for_dependent_vector():
+    b = orthonormalize([e(0, 3), e(1, 3)])
+    assert extend_basis(b, np.array([2.0, -1.0, 0.0])) is b
 
 
 def test_basis_rejects_non_orthonormal():
@@ -159,6 +180,34 @@ def test_restricted_lstsq_full_rows_not_degenerate():
     assert not degenerate
     full = np.linalg.norm(y - project(b, y))
     assert residual == pytest.approx(full, abs=1e-12)
+
+
+@pytest.mark.parametrize("case", ["full-rank", "fewer-rows", "equal-rows"])
+def test_solver_fit_matches_lstsq(case):
+    gen = np.random.default_rng(11)
+    b = random_basis(11, 10, 3)
+    if case == "full-rank":
+        omega = np.array([0, 2, 3, 5, 8])
+    elif case == "fewer-rows":
+        omega = np.array([1, 7])
+    else:
+        # Equal rows 4 and 6: B_omega has 3 = k rows but rank 2.
+        raw = gen.standard_normal((10, 3))
+        raw[6] = raw[4]
+        b = orthonormalize(raw)
+        omega = np.array([2, 4, 6])
+    y = gen.standard_normal(omega.size)
+    solver = RestrictedSolver(b, omega)
+    coef, residual, degenerate = solver.fit(y)
+    a = b.matrix[omega, :]
+    ref_coef, _, rank, _ = np.linalg.lstsq(a, y, rcond=LSTSQ_RCOND)
+    np.testing.assert_allclose(coef, ref_coef, rtol=0, atol=1e-12)
+    assert residual == pytest.approx(np.linalg.norm(y - a @ ref_coef),
+                                     rel=0, abs=1e-12)
+    assert degenerate == (rank < b.dim)
+    assert degenerate == (case != "full-rank")
+    np.testing.assert_allclose(solver.lift(coef), b.matrix @ ref_coef,
+                               rtol=0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------

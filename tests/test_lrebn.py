@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from adaptive_mc.linalg import coherence
+from adaptive_mc import lrebn
+from adaptive_mc.linalg import RestrictedSolver, coherence
 from adaptive_mc.lrebn import (
     LrebnConfig,
     angle_increment,
@@ -45,6 +46,12 @@ def test_config_rejects_small_mu_and_bad_rank():
         cfg_for(mu=0.5)
     with pytest.raises(ValueError, match="r must be"):
         cfg_for(r=0)
+
+
+@pytest.mark.parametrize("mu", [math.nan, math.inf])
+def test_config_rejects_non_finite_mu(mu):
+    with pytest.raises(ValueError, match="mu_upper"):
+        cfg_for(mu=mu)
 
 
 def test_config_rejects_unknown_redraw_policy():
@@ -303,6 +310,25 @@ def test_omega_redraw_policies_differ_in_row_patterns():
     # Reconstructed columns 1..3 share the pattern under on-update.
     assert on_update[1] == on_update[2] == on_update[3]
     assert len({per_column[1], per_column[2], per_column[3]}) == 3
+
+
+def test_run_builds_one_solver_per_budget_event(monkeypatch):
+    built = []
+
+    class CountingSolver(RestrictedSolver):
+        __slots__ = ()
+
+        def __init__(self, basis, omega):
+            built.append(basis.dim)
+            super().__init__(basis, omega)
+
+    monkeypatch.setattr(lrebn, "RestrictedSolver", CountingSolver)
+    inst = make_instance(80, 60, 3, 0.02, seed=11)
+    cfg = cfg_for(epsilon=0.02, delta=0.05, r=3,
+                  mu=coherence(inst.true_basis), seed=11)
+    result = run_lrebn(ObservationOracle(inst.M), cfg)
+    assert len(result.budget_trace) > 1
+    assert built == [event.k for event in result.budget_trace]
 
 
 def test_run_is_deterministic():

@@ -201,6 +201,31 @@ def test_oracle_count_matches_independent_set():
     assert oracle.entry_count == len(seen)
 
 
+def test_oracle_memory_order_does_not_change_reads():
+    gen = np.random.default_rng(5)
+    hidden = gen.standard_normal((20, 15))
+    oracles = [ObservationOracle(np.ascontiguousarray(hidden)),
+               ObservationOracle(np.asfortranarray(hidden))]
+    for _ in range(100):
+        op = gen.integers(3)
+        j = int(gen.integers(15))
+        if op == 0:
+            i = int(gen.integers(20))
+            got = [o.entry(i, j) for o in oracles]
+        elif op == 1:
+            omega = np.sort(gen.choice(20, size=int(gen.integers(1, 8)),
+                                       replace=False))
+            got = [o.entries(omega, j) for o in oracles]
+            np.testing.assert_array_equal(got[0], hidden[omega, j])
+        else:
+            got = [o.column(j) for o in oracles]
+            np.testing.assert_array_equal(got[0], hidden[:, j])
+        np.testing.assert_array_equal(got[0], got[1])
+        assert oracles[0].entry_count == oracles[1].entry_count
+    np.testing.assert_array_equal(oracles[0].column_full_flags,
+                                  oracles[1].column_full_flags)
+
+
 # ---------------------------------------------------------------------------
 # file formats
 # ---------------------------------------------------------------------------
