@@ -189,28 +189,26 @@ def orthonormalize(vectors, rank_tol=DEFAULT_RANK_TOL):
     return OrthonormalBasis(np.column_stack(accepted))
 
 
-def extend_basis(basis, v, rank_tol=DEFAULT_RANK_TOL):
+def extend_basis(basis, v):
     """Append the direction ``v`` adds to ``basis``.
 
     Runs the same double Gram-Schmidt step as ``orthonormalize``, so
     extending a basis one vector at a time gives bit-for-bit the basis
-    ``orthonormalize`` builds from the whole list, and the existing
-    columns are kept unchanged.
+    ``orthonormalize`` builds from the whole list at the default
+    ``rank_tol``, and the existing columns are kept unchanged.
 
     Returns
     -------
     OrthonormalBasis
         ``basis`` itself when the residual of ``v`` has norm at most
-        ``rank_tol`` (no new dimension); otherwise a basis with one more
-        column.
+        ``DEFAULT_RANK_TOL`` (no new dimension); otherwise a basis with
+        one more column.
     """
-    if rank_tol <= 0:
-        raise ValueError("rank_tol must be positive")
     v = _as_vector(v, basis.ambient_dim, "v")
     # Contiguous copies of the columns: the dot products must run on the
     # same memory layout as in orthonormalize to give the same bits.
     columns = list(basis.matrix.T.copy())
-    u = _gram_schmidt_step(columns, v, rank_tol)
+    u = _gram_schmidt_step(columns, v, DEFAULT_RANK_TOL)
     if u is None:
         return basis
     return OrthonormalBasis(np.column_stack(columns + [u]))
