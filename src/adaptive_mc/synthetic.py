@@ -175,7 +175,9 @@ def generate_low_rank(m, n, r, rng, coherence_mode="incoherent",
         "incoherent" orthonormalizes a Gaussian block.  "spiked" blends
         the first basis direction toward the standard vector
         ``e_{spike_index}`` with the given weight, driving the coherence
-        toward its maximum m / r.
+        toward its maximum m / r.  In spiked mode ``spike_index`` must lie
+        in ``[0, m)`` and ``spike_weight`` in ``[0, 1]``; anything else
+        raises ``ValueError`` before any draw.
 
     Returns
     -------
@@ -186,14 +188,21 @@ def generate_low_rank(m, n, r, rng, coherence_mode="incoherent",
         raise ValueError("rank r must satisfy 1 <= r <= min(m, n)")
     if coherence_mode not in ("incoherent", "spiked"):
         raise ValueError(f"unknown coherence_mode {coherence_mode!r}")
+    if coherence_mode == "spiked":
+        if not 0 <= spike_index < m:
+            raise ValueError(
+                f"spike_index must satisfy 0 <= spike_index < m; "
+                f"got {spike_index}")
+        if not (np.isfinite(spike_weight) and 0.0 <= spike_weight <= 1.0):
+            raise ValueError(
+                f"spike_weight must be a finite number in [0, 1]; "
+                f"got {spike_weight}")
     gen = as_generator(rng)
 
     basis = None
     for _ in range(64):
         raw = gen.standard_normal((m, r))
         if coherence_mode == "spiked":
-            if not 0 <= spike_index < m:
-                raise ValueError("spike_index out of range")
             g = gen.standard_normal(m)
             g /= np.linalg.norm(g)
             spike = np.zeros(m)
@@ -265,14 +274,14 @@ def add_bounded_noise(L, epsilon, rng, mode="sphere", true_basis=None, r=None):
             radii = gen.uniform(0.0, epsilon, size=n)
             zeta *= radii / norms
 
-    if r is None:
-        sv = np.linalg.svd(L, compute_uv=False)
-        r = int(np.sum(sv > 1e-9))
+    if r is None or true_basis is None:
+        u, sv, _ = np.linalg.svd(L, full_matrices=False)
+        if r is None:
+            r = int(np.sum(sv > 1e-9))
     r = int(r)
     if not 1 <= r <= min(m, n):
         raise ValueError("rank r must satisfy 1 <= r <= min(m, n)")
     if true_basis is None:
-        u, _, _ = np.linalg.svd(L, full_matrices=False)
         true_basis = OrthonormalBasis(u[:, :r])
 
     inst = ProblemInstance(
@@ -284,18 +293,55 @@ def add_bounded_noise(L, epsilon, rng, mode="sphere", true_basis=None, r=None):
 
 
 def _check_instance(inst):
-    """Assert the model invariants after generation."""
-    col_norms = np.linalg.norm(inst.L, axis=0)
+    """Assert the model invariants after generation.
+
+    Columns of ``L`` must be unit norm and noise columns at most
+    ``epsilon`` long.  The rank part is proved in O(m n r) from the true
+    basis ``B`` (m x r) instead of a full SVD of ``L``.  With
+    ``C = B^T L``, ``E = L - B C`` and ``g = ||B^T B - I||_F``, Weyl's
+    inequality gives, for any ``B`` with r columns:
+
+    * ``sigma_{r+1}(L) <= ||E||_2 <= ||E||_F``, since ``B C`` has rank at
+      most r.  Rejecting ``||E||_F > 1e-9`` therefore rejects every
+      ``L`` with ``sigma_{r+1}(L) > 1e-9``.
+    * ``sigma_r(L) >= sigma_min(B) sigma_r(C) - ||E||_2
+      >= sqrt(max(0, 1 - g)) sigma_r(C) - ||E||_F``, since
+      ``sigma_min(B)^2 >= 1 - ||B^T B - I||_2 >= 1 - g``.  Rejecting a
+      lower bound below 1e-6 therefore rejects every ``L`` with
+      ``sigma_r(L) < 1e-6``.
+
+    So each check is at least as strict as the same tolerance on the
+    singular values of ``L``.  The first also rejects a ``true_basis``
+    that does not span the column space of ``L``, which the singular
+    values alone cannot see.
+    """
+    L = inst.L
+    m, n = L.shape
+    r = inst.r
+    col_norms = np.linalg.norm(L, axis=0)
     if np.max(np.abs(col_norms - 1.0)) > 1e-12:
         raise AssertionError("ground-truth columns are not unit norm")
     noise_norms = np.linalg.norm(inst.zeta, axis=0)
     if np.max(noise_norms) > inst.epsilon + 1e-12:
         raise AssertionError("noise column exceeds the epsilon bound")
-    sv = np.linalg.svd(inst.L, compute_uv=False)
-    if sv[inst.r - 1] < 1e-6:
+    B = inst.true_basis.matrix
+    if not 1 <= r <= min(m, n) or B.shape != (m, r):
+        raise AssertionError(
+            f"true basis has shape {B.shape}; expected ({m}, {r})")
+    C = B.T @ L
+    # One m x n temporary for the rank part: E = B C - L, whose norm
+    # equals ||L - B C||.
+    E = B @ C
+    E -= L
+    resid = np.linalg.norm(E)
+    # Negated comparisons so that a NaN fails the check.
+    if not resid <= 1e-9:
+        raise AssertionError("generated matrix has rank above r or the "
+                             "true basis does not span it")
+    gram_dev = np.linalg.norm(B.T @ B - np.eye(r))
+    sigma_r_C = np.linalg.svd(C, compute_uv=False)[r - 1]
+    if not np.sqrt(max(0.0, 1.0 - gram_dev)) * sigma_r_C - resid >= 1e-6:
         raise AssertionError("generated matrix does not expose rank r")
-    if inst.r < min(inst.L.shape) and sv[inst.r] > 1e-9:
-        raise AssertionError("generated matrix has rank above r")
 
 
 def make_instance(m, n, r, epsilon, seed, coherence_mode="incoherent",
@@ -329,11 +375,14 @@ def write_matrix(path, a):
     if a.ndim != 2:
         raise ValueError("only 2-D matrices are supported")
     m, n = a.shape
+    # One format string per row; %-formatting a Python float gives the
+    # same digits as f"{v:.17e}".  Rows are converted one at a time so
+    # no m x n list of Python floats is built.
+    row = " ".join(["%.17e"] * n) + "\n"
     with open(path, "w", encoding="ascii") as fh:
         fh.write(f"{m} {n}\n")
         for i in range(m):
-            fh.write(" ".join(f"{v:.17e}" for v in a[i]))
-            fh.write("\n")
+            fh.write(row % tuple(a[i].tolist()))
 
 
 def read_matrix(path):

@@ -47,6 +47,28 @@ def test_generate_rejects_model_epsilon(tmp_path, capsys):
     assert "epsilon must be < 0.25" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["nan", "5", "-1"])
+def test_generate_rejects_bad_spike_weight(tmp_path, capsys, value):
+    out = tmp_path / "bad"
+    rc = cli.main(["generate", "--m", "30", "--n", "20", "--r", "2",
+                   "--epsilon", "0", "--coherence-mode", "spiked",
+                   f"--spike-weight={value}", "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "spike_weight" in err
+    assert "Traceback" not in err
+    assert not (out / "meta").exists()
+
+
+def test_generate_accepts_spike_weight_in_range(tmp_path):
+    out = tmp_path / "inst"
+    rc = cli.main(["generate", "--m", "30", "--n", "20", "--r", "2",
+                   "--epsilon", "0", "--coherence-mode", "spiked",
+                   "--spike-weight", "0.99", "--out", str(out)])
+    assert rc == 0
+    assert "coherence_mode=spiked" in (out / "meta").read_text()
+
+
 # ---------------------------------------------------------------------------
 # run
 # ---------------------------------------------------------------------------

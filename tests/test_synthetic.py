@@ -1,10 +1,17 @@
 import numpy as np
 import pytest
 
-from adaptive_mc.linalg import coherence, subspace_subspace_angle, orthonormalize
+from adaptive_mc.linalg import (
+    OrthonormalBasis,
+    coherence,
+    orthonormalize,
+    subspace_subspace_angle,
+)
 from adaptive_mc.sampling import RngState
 from adaptive_mc.synthetic import (
     ObservationOracle,
+    ProblemInstance,
+    _check_instance,
     add_bounded_noise,
     generate_low_rank,
     load_instance,
@@ -118,6 +125,146 @@ def test_make_instance_deterministic():
     a = make_instance(15, 20, 2, 0.02, seed=99)
     b = make_instance(15, 20, 2, 0.02, seed=99)
     np.testing.assert_array_equal(a.M, b.M)
+
+
+def test_spiked_mode_rejects_bad_spike_weight():
+    for weight in (float("nan"), float("inf"), 5.0, -1.0):
+        with pytest.raises(ValueError, match="spike_weight"):
+            generate_low_rank(20, 10, 2, RngState(0), coherence_mode="spiked",
+                              spike_weight=weight)
+    with pytest.raises(ValueError, match="spike_index"):
+        generate_low_rank(20, 10, 2, RngState(0), coherence_mode="spiked",
+                          spike_index=20)
+
+
+# ---------------------------------------------------------------------------
+# instance invariant check
+# ---------------------------------------------------------------------------
+
+def _unit_columns(a):
+    return a / np.linalg.norm(a, axis=0)
+
+
+def _low_rank(gen, m, n, r):
+    """A unit-column rank-r matrix and an orthonormal basis of its span."""
+    basis = np.linalg.qr(gen.standard_normal((m, r)))[0]
+    return _unit_columns(basis @ gen.standard_normal((r, n))), basis
+
+
+def _instance(L, basis, r, zeta=None, epsilon=0.0):
+    zeta = np.zeros_like(L) if zeta is None else zeta
+    return ProblemInstance(L=L, zeta=zeta, M=L + zeta,
+                           true_basis=OrthonormalBasis(basis, check=False),
+                           epsilon=epsilon, r=r)
+
+
+def _svd_rule_rejects(inst):
+    """The invariant check as a full SVD of L states it: the reference the
+    basis-based check must be at least as strict as."""
+    if np.max(np.abs(np.linalg.norm(inst.L, axis=0) - 1.0)) > 1e-12:
+        return True
+    if np.max(np.linalg.norm(inst.zeta, axis=0)) > inst.epsilon + 1e-12:
+        return True
+    sv = np.linalg.svd(inst.L, compute_uv=False)
+    return bool(sv[inst.r - 1] < 1e-6
+                or (inst.r < min(inst.L.shape) and sv[inst.r] > 1e-9))
+
+
+def _check_rejects(inst):
+    try:
+        _check_instance(inst)
+    except AssertionError:
+        return True
+    return False
+
+
+def test_check_rejects_non_unit_column():
+    L, basis = _low_rank(np.random.default_rng(1), 30, 40, 4)
+    L[:, 7] *= 1.0 + 1e-9
+    with pytest.raises(AssertionError, match="unit norm"):
+        _check_instance(_instance(L, basis, 4))
+
+
+def test_check_rejects_noise_above_epsilon():
+    gen = np.random.default_rng(2)
+    L, basis = _low_rank(gen, 30, 40, 4)
+    zeta = 0.05 * _unit_columns(gen.standard_normal((30, 40)))
+    zeta[:, 3] *= 1.0 + 1e-6
+    with pytest.raises(AssertionError, match="epsilon bound"):
+        _check_instance(_instance(L, basis, 4, zeta=zeta, epsilon=0.05))
+
+
+def test_check_rejects_hidden_extra_direction():
+    gen = np.random.default_rng(3)
+    m, n, r = 30, 40, 4
+    L, basis = _low_rank(gen, m, n, r)
+    extra = np.outer(gen.standard_normal(m), gen.standard_normal(n))
+    L = _unit_columns(L + 1e-8 * extra / np.linalg.norm(extra, 2))
+    sv = np.linalg.svd(L, compute_uv=False)
+    assert sv[r] > 1e-9
+    with pytest.raises(AssertionError, match="rank above r"):
+        _check_instance(_instance(L, basis, r))
+
+
+def test_check_rejects_weak_rth_direction():
+    gen = np.random.default_rng(4)
+    m, n, r = 30, 40, 4
+    basis = np.linalg.qr(gen.standard_normal((m, r)))[0]
+    coeff = gen.standard_normal((r, n))
+    coeff[-1] *= 1e-9
+    L = _unit_columns(basis @ coeff)
+    assert np.linalg.svd(L, compute_uv=False)[r - 1] < 1e-6
+    with pytest.raises(AssertionError, match="does not expose rank r"):
+        _check_instance(_instance(L, basis, r))
+
+
+def test_check_rejects_basis_that_does_not_span_L():
+    gen = np.random.default_rng(5)
+    L, _ = _low_rank(gen, 30, 40, 4)
+    other = np.linalg.qr(gen.standard_normal((30, 4)))[0]
+    with pytest.raises(AssertionError, match="does not span"):
+        _check_instance(_instance(L, other, 4))
+
+
+def test_check_rejects_basis_with_too_few_columns():
+    L, basis = _low_rank(np.random.default_rng(6), 30, 40, 4)
+    with pytest.raises(AssertionError, match="true basis has shape"):
+        _check_instance(_instance(L, basis[:, :3], 4))
+
+
+def test_check_is_at_least_as_strict_as_svd_rule():
+    gen = np.random.default_rng(7)
+    scales = (1e-12, 1e-10, 1e-9, 3e-9, 1e-8, 1e-7, 1e-6, 1e-5, 1e-3)
+    kinds = ("extra", "weak", "tilt", "stretch", "other")
+    svd_rejects = accepted = 0
+    for _ in range(600):
+        m, n = (int(x) for x in gen.integers(2, 12, size=2))
+        r = int(gen.integers(1, min(m, n) + 1))
+        basis = np.linalg.qr(gen.standard_normal((m, r)))[0]
+        coeff = gen.standard_normal((r, n))
+        kind = kinds[int(gen.integers(len(kinds)))]
+        t = scales[int(gen.integers(len(scales)))]
+        if kind == "weak":
+            coeff[-1] *= t
+        L = basis @ coeff
+        if kind == "extra":
+            L += t * np.outer(gen.standard_normal(m), gen.standard_normal(n))
+        L = _unit_columns(L)
+        if kind == "tilt":
+            basis = basis + t * gen.standard_normal((m, r))
+            basis = np.linalg.qr(basis)[0]
+        elif kind == "stretch":
+            basis = basis * (1.0 + t * gen.standard_normal(r))
+        elif kind == "other":
+            basis = np.linalg.qr(gen.standard_normal((m, r)))[0]
+        inst = _instance(L, basis, r)
+        old, new = _svd_rule_rejects(inst), _check_rejects(inst)
+        assert new or not old, (kind, t, m, n, r)
+        svd_rejects += old
+        accepted += not new
+    # Both outcomes occur, so the implication above is not vacuous.
+    assert svd_rejects > 50
+    assert accepted > 50
 
 
 # ---------------------------------------------------------------------------
@@ -239,6 +386,27 @@ def test_matrix_round_trip_is_exact(tmp_path):
     np.testing.assert_array_equal(got, a)
     header = path.read_text().splitlines()[0]
     assert header == "7 5"
+
+
+def _per_value_bytes(a):
+    m, n = a.shape
+    lines = [f"{m} {n}"] + [" ".join(f"{v:.17e}" for v in row) for row in a]
+    return ("\n".join(lines) + "\n").encode("ascii")
+
+
+@pytest.mark.parametrize("a", [
+    np.array([[-0.0, 5e-324, 1e308], [-1e308, -5e-324, 0.0],
+              [-1.5, 1.0 / 3.0, -2.2250738585072014e-308]]),
+    np.array([[-7.25e-3]]),
+    np.random.default_rng(18).standard_normal((4, 6)),
+], ids=["edges", "1x1", "gaussian"])
+def test_write_matrix_bytes_match_per_value_format(tmp_path, a):
+    path = tmp_path / "a.mat"
+    write_matrix(path, a)
+    assert path.read_bytes() == _per_value_bytes(a)
+    got = read_matrix(path)
+    np.testing.assert_array_equal(got, a)
+    np.testing.assert_array_equal(np.signbit(got), np.signbit(a))
 
 
 def test_instance_bundle_round_trip(tmp_path):
