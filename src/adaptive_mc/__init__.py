@@ -28,9 +28,6 @@ from .linalg import (
     extend_basis,
     orthonormalize,
     project,
-    reconstruct_column,
-    restricted_lstsq,
-    restricted_residual_norm,
     subspace_subspace_angle,
     vector_coherence,
     vector_subspace_angle,
@@ -71,9 +68,6 @@ __all__ = [
     "extend_basis",
     "orthonormalize",
     "project",
-    "reconstruct_column",
-    "restricted_lstsq",
-    "restricted_residual_norm",
     "subspace_subspace_angle",
     "vector_coherence",
     "vector_subspace_angle",

@@ -10,8 +10,7 @@ verify     run the inequality checks, one CSV row per check
 
 Every behavior here is a thin shell over the library API: identical
 seeds give identical results either way, and reruns with identical flags
-produce byte-identical files.  ``ADAPTIVE_MC_THREADS`` caps the worker
-count used by sweep and verify.
+produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -107,12 +105,6 @@ def _write_csv(path, header, rows):
     return content
 
 
-def _thread_count(n_tasks):
-    env = os.environ.get("ADAPTIVE_MC_THREADS")
-    workers = int(env) if env else (os.cpu_count() or 1)
-    return max(1, min(workers, n_tasks))
-
-
 def _derive_seed(seed, *key):
     seq = np.random.SeedSequence(
         entropy=int(seed), spawn_key=tuple(int(x) for x in key)
@@ -146,8 +138,11 @@ def _build_config(args, epsilon, r, meta=None):
         # the first budget (nothing estimated yet) uses the floor value.
         mu = 1.0
     elif meta is not None and "mu" in meta:
-        # The stored coherence is >= 1 only up to rounding.
-        mu = max(1.0, float(meta["mu"]))
+        # The stored coherence is >= 1 only up to rounding (1e-9); any
+        # other value goes to LrebnConfig unchanged, which rejects it.
+        mu = float(meta["mu"])
+        if 1.0 - 1e-9 <= mu < 1.0:
+            mu = 1.0
     else:
         mu = 1.0
     return LrebnConfig(
@@ -238,17 +233,11 @@ def cmd_sweep(args):
         for epsilon in args.epsilon
         for delta in args.delta
     ]
-    tasks = [
-        (idx, *cell, trial)
+    rows = [
+        _sweep_cell(args, idx, *cell, trial)
         for idx, cell in enumerate(cells)
         for trial in range(args.trials)
     ]
-    workers = _thread_count(len(tasks))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(lambda t: _sweep_cell(args, *t), tasks))
-    else:
-        rows = [_sweep_cell(args, *t) for t in tasks]
     os.makedirs(args.out, exist_ok=True)
     _write_csv(
         os.path.join(args.out, "sweep.csv"),
@@ -277,21 +266,17 @@ def cmd_verify(args):
         names = list(CHECK_NAMES)
     else:
         names = [s for s in args.names.split(",") if s != ""]
+        if not names:
+            raise ValueError(
+                f"--names lists no check; choose from {CHECK_NAMES} or 'all'"
+            )
         unknown = [s for s in names if s not in CHECK_NAMES]
         if unknown:
             raise ValueError(
                 f"unknown check name(s) {unknown}; choose from {CHECK_NAMES}"
             )
-    workers = _thread_count(len(names))
-
-    def runner(name):
-        return run_check(name, trials=args.trials, seed=args.seed)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(runner, names))
-    else:
-        reports = [runner(name) for name in names]
+    reports = [run_check(name, trials=args.trials, seed=args.seed)
+               for name in names]
 
     header = ["name", "trials", "violations", "violation_rate",
               "theoretical_bound", "worst_margin", "params_json", "seed",
@@ -313,18 +298,22 @@ def cmd_verify(args):
 # Parser
 # ---------------------------------------------------------------------------
 
-def _add_algorithm_flags(p):
-    p.add_argument("--delta", type=_delta_value, default=0.05)
-    p.add_argument("--mu-upper", dest="mu_upper", type=float, default=None,
-                   help="coherence upper bound for the true column space")
-    p.add_argument("--estimate-mu", dest="estimate_mu", action="store_true",
-                   help="heuristic: refresh mu from the estimated basis")
+def _add_ablation_flags(p):
     p.add_argument("--no-angle-cap", dest="no_angle_cap", action="store_true")
     p.add_argument("--no-budget-cap", dest="no_budget_cap",
                    action="store_true")
     p.add_argument("--omega-redraw", dest="omega_redraw",
                    choices=[REDRAW_ON_UPDATE, REDRAW_PER_COLUMN],
                    default=REDRAW_ON_UPDATE)
+
+
+def _add_algorithm_flags(p):
+    p.add_argument("--delta", type=_delta_value, default=0.05)
+    p.add_argument("--mu-upper", dest="mu_upper", type=float, default=None,
+                   help="coherence upper bound for the true column space")
+    p.add_argument("--estimate-mu", dest="estimate_mu", action="store_true",
+                   help="heuristic: refresh mu from the estimated basis")
+    _add_ablation_flags(p)
 
 
 def build_parser():
@@ -369,12 +358,7 @@ def build_parser():
     s.add_argument("--out", required=True)
     s.add_argument("--noise-mode", dest="noise_mode",
                    choices=["sphere", "scaled-gaussian"], default="sphere")
-    s.add_argument("--no-angle-cap", dest="no_angle_cap", action="store_true")
-    s.add_argument("--no-budget-cap", dest="no_budget_cap",
-                   action="store_true")
-    s.add_argument("--omega-redraw", dest="omega_redraw",
-                   choices=[REDRAW_ON_UPDATE, REDRAW_PER_COLUMN],
-                   default=REDRAW_ON_UPDATE)
+    _add_ablation_flags(s)
     s.set_defaults(func=cmd_sweep)
 
     v = sub.add_parser("verify", help="run the inequality checks")

@@ -12,10 +12,7 @@ project
 RestrictedSolver
     least squares against a row-restricted basis ``B_omega``, factored
     once per (basis, omega) pair and then applied to any number of
-    sampled columns
-restricted_lstsq / restricted_residual_norm / reconstruct_column
-    one-shot wrappers over ``RestrictedSolver``: the fit, its residual,
-    and its lift back to the full ambient space
+    sampled columns; ``lift`` maps a fit back to the full ambient space
 coherence / vector_coherence
     alignment of a subspace (or vector) with the coordinate axes
 vector_vector_angle / vector_subspace_angle / subspace_subspace_angle
@@ -41,9 +38,6 @@ __all__ = [
     "orthonormalize",
     "extend_basis",
     "project",
-    "restricted_lstsq",
-    "restricted_residual_norm",
-    "reconstruct_column",
     "coherence",
     "vector_coherence",
     "vector_vector_angle",
@@ -296,50 +290,6 @@ class RestrictedSolver:
     def lift(self, coef):
         """The full-length column ``B coef``."""
         return self.basis.matrix @ coef
-
-
-def restricted_lstsq(basis, omega, y_omega):
-    """Least-squares fit of sampled coordinates against a row-restricted
-    basis; ``RestrictedSolver(basis, omega).fit(y_omega)``.
-
-    Returns
-    -------
-    coef : ndarray of shape (dim,)
-        Fitted coefficients.
-    residual_norm : float
-        ``|| y_omega - B_omega coef ||_2``.
-    degenerate : bool
-        True when the restricted matrix is rank-deficient below the basis
-        dimension, i.e. the sampled rows do not pin down the fit.
-    """
-    return RestrictedSolver(basis, omega).fit(y_omega)
-
-
-def restricted_residual_norm(basis, omega, y_omega):
-    """Norm of the least-squares residual of ``y_omega`` against the
-    row-restricted basis (see ``RestrictedSolver``)."""
-    return restricted_lstsq(basis, omega, y_omega)[1]
-
-
-def reconstruct_column(basis, omega, y_omega):
-    """Lift a restricted least-squares fit to the full ambient space.
-
-    Returns ``B c`` where ``c`` minimizes ``|| B_omega c - y_omega ||_2``
-    (minimum-norm solution if the restriction is rank-deficient).  When
-    the sampled column actually lies in the span of the basis and the
-    restricted matrix has full column rank, the reconstruction reproduces
-    the column exactly.
-
-    Raises
-    ------
-    ValueError
-        If the basis is empty; nothing can be reconstructed and the caller
-        must observe the column in full.
-    """
-    if basis.dim == 0:
-        raise ValueError("cannot reconstruct from an empty basis")
-    solver = RestrictedSolver(basis, omega)
-    return solver.lift(solver.fit(y_omega)[0])
 
 
 def coherence(basis):

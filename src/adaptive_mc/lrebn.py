@@ -36,7 +36,7 @@ quantity respects, and at pi/2 always.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -188,16 +188,29 @@ class SubspaceEvent(NamedTuple):
 
 @dataclass
 class RecoveryResult:
-    """Output of a run: the recovered matrix plus full accounting."""
+    """Output of a run: the recovered matrix plus full accounting.
+
+    ``column_records`` holds one ``ColumnRecord`` per column and
+    ``budget_trace`` the initial ``SubspaceEvent`` plus one per subspace
+    update; ``column_mode`` and ``theta_trace`` are read from them.
+    """
 
     M_tilde: np.ndarray
-    column_mode: list
     observations: int
-    theta_trace: list
     budget_trace: list
     k_final: int
     bound_violations: int
-    column_records: list = field(default_factory=list)
+    column_records: list
+
+    @property
+    def column_mode(self):
+        """``"FullyObserved"`` or ``"Reconstructed"`` per column."""
+        return [rec.mode for rec in self.column_records]
+
+    @property
+    def theta_trace(self):
+        """``(k, theta_tilde)`` per budget event, from ``(0, 0.0)`` on."""
+        return [(ev.k, ev.theta_tilde) for ev in self.budget_trace]
 
 
 def _budget_formula(mu, r, delta, m, theta_tilde):
@@ -348,10 +361,8 @@ def run_lrebn(oracle, cfg):
     event, solver = _refresh(cfg, basis, theta, omega_rng)
     d_budget = event.d_budget
 
-    theta_trace = [(0, 0.0)]
     budget_trace = [event]
     records = []
-    modes = []
     M_tilde = np.zeros((m, n), order="F")
 
     for i in range(n):
@@ -365,7 +376,6 @@ def run_lrebn(oracle, cfg):
         if eff_residual > thr:
             y_full = oracle.column(i)
             M_tilde[:, i] = y_full
-            modes.append("FullyObserved")
             records.append(ColumnRecord(i, "FullyObserved", k, d_budget,
                                         theta, residual, thr))
             new_basis = extend_basis(basis, y_full)
@@ -380,22 +390,18 @@ def run_lrebn(oracle, cfg):
             theta = angle_increment(theta, theta_new_col, cfg, k)
             event, solver = _refresh(cfg, basis, theta, omega_rng)
             d_budget = event.d_budget
-            theta_trace.append((k, theta))
             budget_trace.append(event)
         else:
             # At k = 0, passing the test means every sampled entry was
             # zero; the lift through the empty basis is the zero column,
             # the only consistent completion.
             M_tilde[:, i] = solver.lift(coef)
-            modes.append("Reconstructed")
             records.append(ColumnRecord(i, "Reconstructed", k, d_budget,
                                         theta, residual, thr))
 
     return RecoveryResult(
         M_tilde=M_tilde,
-        column_mode=modes,
         observations=oracle.entry_count,
-        theta_trace=theta_trace,
         budget_trace=budget_trace,
         k_final=k,
         bound_violations=bound_violations,

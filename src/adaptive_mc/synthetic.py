@@ -422,14 +422,21 @@ def save_instance(dirpath, inst, seed, noise_mode, coherence_mode="incoherent"):
 
 
 def load_instance(dirpath):
-    """Load an instance bundle; returns (L, M, meta_dict)."""
+    """Load an instance bundle; returns (L, M, meta_dict).
+
+    Raises ``ValueError`` when ``meta`` lacks ``r`` or ``epsilon``.
+    """
     L = read_matrix(os.path.join(dirpath, "L.mat"))
     M = read_matrix(os.path.join(dirpath, "M.mat"))
+    meta_path = os.path.join(dirpath, "meta")
     meta = {}
-    with open(os.path.join(dirpath, "meta"), "r", encoding="ascii") as fh:
+    with open(meta_path, "r", encoding="ascii") as fh:
         for line in fh:
             line = line.strip()
             if line:
                 key, _, value = line.partition("=")
                 meta[key] = value
+    for key in ("r", "epsilon"):
+        if key not in meta:
+            raise ValueError(f"{meta_path}: missing key '{key}'")
     return L, M, meta

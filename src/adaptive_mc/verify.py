@@ -21,10 +21,10 @@ import numpy as np
 
 from .linalg import (
     OrthonormalBasis,
+    RestrictedSolver,
     coherence,
     orthonormalize,
     project,
-    restricted_residual_norm,
     subspace_subspace_angle,
     vector_coherence,
     vector_subspace_angle,
@@ -440,7 +440,7 @@ def check_conc(m, k, d, epsilon, delta, trials, rng):
             clean = math.cos(psi) * inside + math.sin(psi) * outside
         column = clean + epsilon * _unit(gen, m)
         omega = sample_uniform_subset(m, d, gen)
-        residual = restricted_residual_norm(tilted, omega, column[omega])
+        residual = RestrictedSolver(tilted, omega).fit(column[omega])[1]
         threshold = (1.0 + epsilon) * (
             math.sqrt(3.0 * d / (2.0 * m)) * theta
             + math.sqrt(3.0 * d * k * epsilon / (2.0 * m))
@@ -528,7 +528,7 @@ def check_ks14(m, k, d, delta, trials, rng):
             continue
 
         omega = sample_uniform_subset(m, d_t, gen)
-        r2_restricted = restricted_residual_norm(basis, omega, y[omega]) ** 2
+        r2_restricted = RestrictedSolver(basis, omega).fit(y[omega])[1] ** 2
 
         upper_applicable += 1
         margin = (1.0 + alpha) * (d_t / m) * r2_full - r2_restricted

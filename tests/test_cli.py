@@ -1,3 +1,5 @@
+import threading
+
 import pytest
 
 from adaptive_mc import cli
@@ -148,6 +150,49 @@ def test_run_rejects_bad_mu_upper(instance_dir, tmp_path, capsys, value):
     assert not (out / "manifest").exists()
 
 
+def _rewrite_meta(instance_dir, key, value=None):
+    """Drop ``key`` from the bundle's meta, or set it to ``value``."""
+    path = instance_dir / "meta"
+    lines = [line for line in path.read_text().splitlines()
+             if not line.startswith(f"{key}=")]
+    if value is not None:
+        lines.append(f"{key}={value}")
+    path.write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("key", ["r", "epsilon"])
+def test_run_rejects_meta_without_key(instance_dir, tmp_path, capsys, key):
+    _rewrite_meta(instance_dir, key)
+    out = tmp_path / "bad"
+    rc = cli.main(["run", "--instance", str(instance_dir), "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"missing key '{key}'" in err
+    assert str(instance_dir / "meta") in err
+    assert "Traceback" not in err
+    assert not (out / "manifest").exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "0.5", "-5"])
+def test_run_rejects_bad_stored_mu(instance_dir, tmp_path, capsys, value):
+    _rewrite_meta(instance_dir, "mu", value)
+    out = tmp_path / "bad"
+    rc = cli.main(["run", "--instance", str(instance_dir), "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "mu_upper" in err
+    assert "Traceback" not in err
+    assert not (out / "manifest").exists()
+
+
+def test_run_floors_stored_mu_rounded_below_one(instance_dir, tmp_path):
+    _rewrite_meta(instance_dir, "mu", "0.9999999999999998")
+    out = tmp_path / "run"
+    rc = cli.main(["run", "--instance", str(instance_dir), "--out", str(out)])
+    assert rc == 0
+    assert "mu_upper=1\n" in (out / "manifest").read_text()
+
+
 def test_run_is_thin_shell_over_library(instance_dir, tmp_path):
     out = tmp_path / "cli_run"
     cli.main(["run", "--instance", str(instance_dir), "--delta", "0.05",
@@ -195,6 +240,30 @@ def test_sweep_deterministic_under_threads(tmp_path, monkeypatch):
     assert (tmp_path / "serial" / "sweep.csv").read_bytes() == (
         (tmp_path / "parallel" / "sweep.csv").read_bytes()
     )
+
+
+def test_sweep_and_verify_run_on_calling_thread(tmp_path, monkeypatch):
+    # The algorithm is sequential; sweep cells and verify checks run one
+    # after another on the caller's thread, whatever the environment says.
+    monkeypatch.setenv("ADAPTIVE_MC_THREADS", "2")
+    calls = []
+
+    def recording(fn):
+        def wrapper(*args, **kwargs):
+            calls.append((fn.__name__, threading.get_ident()))
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(cli, "_sweep_cell", recording(cli._sweep_cell))
+    monkeypatch.setattr(cli, "run_check", recording(cli.run_check))
+    assert cli.main(["sweep", "--m", "30", "--n", "20", "--r", "2",
+                     "--epsilon", "0,0.02", "--trials", "2", "--seed", "8",
+                     "--out", str(tmp_path / "sw")]) == 0
+    assert cli.main(["verify", "--names", "kcoh,ind", "--trials", "30",
+                     "--seed", "2", "--out", str(tmp_path / "v")]) == 0
+    assert [name for name, _ in calls] == (
+        ["_sweep_cell"] * 4 + ["run_check"] * 2)
+    assert {ident for _, ident in calls} == {threading.get_ident()}
 
 
 def test_single_cell_sweep_matches_library(tmp_path):
@@ -248,6 +317,16 @@ def test_verify_unknown_name(capsys):
     rc = cli.main(["verify", "--names", "bogus"])
     assert rc == 2
     assert "unknown check" in capsys.readouterr().err
+
+
+def test_verify_rejects_empty_name_list(tmp_path, capsys):
+    out = tmp_path / "v"
+    rc = cli.main(["verify", "--names", ",", "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "no check" in err
+    assert "Traceback" not in err
+    assert not (out / "verify.csv").exists()
 
 
 def test_verify_exit_codes_follow_verdicts(monkeypatch, capsys):

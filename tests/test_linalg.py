@@ -13,9 +13,6 @@ from adaptive_mc.linalg import (
     extend_basis,
     orthonormalize,
     project,
-    reconstruct_column,
-    restricted_lstsq,
-    restricted_residual_norm,
     subspace_subspace_angle,
     vector_coherence,
     vector_subspace_angle,
@@ -142,12 +139,12 @@ def test_project_dimension_mismatch():
 
 def test_restricted_residual_axis_basis():
     b = orthonormalize([e(0, 4)])
-    assert restricted_residual_norm(b, [0, 1], [5.0, 3.0]) == pytest.approx(3.0)
+    assert RestrictedSolver(b, [0, 1]).fit([5.0, 3.0])[1] == pytest.approx(3.0)
 
 
 def test_restricted_residual_empty_basis_is_norm():
     b = OrthonormalBasis.empty(4)
-    assert restricted_residual_norm(b, [0, 1], [3.0, 4.0]) == pytest.approx(5.0)
+    assert RestrictedSolver(b, [0, 1]).fit([3.0, 4.0])[1] == pytest.approx(5.0)
 
 
 def test_restricted_residual_against_normal_equations():
@@ -155,7 +152,7 @@ def test_restricted_residual_against_normal_equations():
     b = orthonormalize([np.ones(3)])
     omega = np.array([0, 1])
     y = np.array([1.0, 0.0])
-    got = restricted_residual_norm(b, omega, y)
+    got = RestrictedSolver(b, omega).fit(y)[1]
     # Independent oracle: explicit normal-equations solve.
     a = b.matrix[omega, :]
     coef = np.linalg.solve(a.T @ a, a.T @ y)
@@ -167,7 +164,7 @@ def test_restricted_residual_against_normal_equations():
 def test_restricted_lstsq_flags_degeneracy():
     b = random_basis(3, 6, 3)
     # One sampled row cannot pin down three coefficients.
-    coef, residual, degenerate = restricted_lstsq(b, [2], [1.0])
+    coef, residual, degenerate = RestrictedSolver(b, [2]).fit([1.0])
     assert degenerate
     assert np.isfinite(residual)
     assert coef.shape == (3,)
@@ -176,7 +173,7 @@ def test_restricted_lstsq_flags_degeneracy():
 def test_restricted_lstsq_full_rows_not_degenerate():
     b = random_basis(4, 6, 3)
     y = np.arange(6.0)
-    _, residual, degenerate = restricted_lstsq(b, np.arange(6), y)
+    _, residual, degenerate = RestrictedSolver(b, np.arange(6)).fit(y)
     assert not degenerate
     full = np.linalg.norm(y - project(b, y))
     assert residual == pytest.approx(full, abs=1e-12)
@@ -211,19 +208,21 @@ def test_solver_fit_matches_lstsq(case):
 
 
 # ---------------------------------------------------------------------------
-# reconstruct_column
+# reconstruction: RestrictedSolver.lift of a fit
 # ---------------------------------------------------------------------------
 
 def test_reconstruct_axis():
     b = orthonormalize([e(0, 3)])
-    np.testing.assert_allclose(reconstruct_column(b, [0], [7.0]),
+    solver = RestrictedSolver(b, [0])
+    np.testing.assert_allclose(solver.lift(solver.fit([7.0])[0]),
                                [7.0, 0.0, 0.0])
 
 
 def test_reconstruct_hand_value():
     # c = (y . u_omega) / ||u_omega||^2 with u_omega = (1,1)/sqrt(3).
     b = orthonormalize([np.ones(3)])
-    got = reconstruct_column(b, [0, 1], [1.0, 0.0])
+    solver = RestrictedSolver(b, [0, 1])
+    got = solver.lift(solver.fit([1.0, 0.0])[0])
     np.testing.assert_allclose(got, [0.5, 0.5, 0.5], atol=1e-12)
 
 
@@ -232,13 +231,9 @@ def test_reconstruct_exact_for_in_span_columns():
     b = random_basis(5, 12, 3)
     y = b.matrix @ gen.standard_normal(3)
     omega = np.sort(gen.choice(12, size=6, replace=False))
-    got = reconstruct_column(b, omega, y[omega])
+    solver = RestrictedSolver(b, omega)
+    got = solver.lift(solver.fit(y[omega])[0])
     np.testing.assert_allclose(got, y, atol=1e-9)
-
-
-def test_reconstruct_empty_basis_rejected():
-    with pytest.raises(ValueError, match="empty basis"):
-        reconstruct_column(OrthonormalBasis.empty(3), [0], [1.0])
 
 
 # ---------------------------------------------------------------------------
@@ -386,6 +381,6 @@ def test_full_row_restriction_matches_full_residual(seed, m, k):
     gen = np.random.default_rng(seed)
     b = orthonormalize(gen.standard_normal((m, k)))
     y = gen.standard_normal(m)
-    restricted = restricted_residual_norm(b, np.arange(m), y)
+    restricted = RestrictedSolver(b, np.arange(m)).fit(y)[1]
     full = np.linalg.norm(y - project(b, y))
     assert abs(restricted - full) <= 1e-9
