@@ -32,7 +32,6 @@ from .lrebn import (
 )
 from .sampling import RngState
 from .synthetic import (
-    MAX_EPSILON,
     ObservationOracle,
     load_instance,
     make_instance,
@@ -43,22 +42,6 @@ from .verify import CHECK_NAMES, run_check
 # Stream labels for sweep-cell derivation.
 _STREAM_SWEEP_INSTANCE = 100
 _STREAM_SWEEP_RUN = 101
-
-
-def _epsilon_value(text):
-    v = float(text)
-    if not 0.0 <= v < MAX_EPSILON:
-        raise argparse.ArgumentTypeError(
-            f"epsilon must be < {MAX_EPSILON} and >= 0"
-        )
-    return v
-
-
-def _delta_value(text):
-    v = float(text)
-    if not 0.0 < v < 0.1:
-        raise argparse.ArgumentTypeError("delta must satisfy 0 < delta < 0.1")
-    return v
 
 
 def _positive_int(text):
@@ -72,12 +55,8 @@ def _int_list(text):
     return [_positive_int(s) for s in text.split(",") if s != ""]
 
 
-def _epsilon_list(text):
-    return [_epsilon_value(s) for s in text.split(",") if s != ""]
-
-
-def _delta_list(text):
-    return [_delta_value(s) for s in text.split(",") if s != ""]
+def _float_list(text):
+    return [float(s) for s in text.split(",") if s != ""]
 
 
 def _fmt(v):
@@ -95,14 +74,20 @@ def _fmt(v):
     return s
 
 
-def _write_csv(path, header, rows):
+def _csv_text(header, rows):
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(_fmt(v) for v in row))
-    content = "\n".join(lines) + "\n"
+    return "\n".join(lines) + "\n"
+
+
+def _write_text(path, text):
     with open(path, "w", encoding="ascii") as fh:
-        fh.write(content)
-    return content
+        fh.write(text)
+
+
+def _write_csv(path, header, rows):
+    _write_text(path, _csv_text(header, rows))
 
 
 def _derive_seed(seed, *key):
@@ -170,8 +155,7 @@ def _write_manifest(path, cfg):
         f"estimate_mu={'true' if cfg.estimate_mu else 'false'}",
         f"omega_redraw_policy={cfg.omega_redraw}",
     ]
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_text(path, "\n".join(lines) + "\n")
 
 
 def cmd_run(args):
@@ -233,6 +217,9 @@ def cmd_sweep(args):
         for epsilon in args.epsilon
         for delta in args.delta
     ]
+    # Reject out-of-model parameters before the first cell runs.
+    for _, _, r, epsilon, delta in cells:
+        LrebnConfig(epsilon=epsilon, delta=delta, r=r)
     rows = [
         _sweep_cell(args, idx, *cell, trial)
         for idx, cell in enumerate(cells)
@@ -281,14 +268,10 @@ def cmd_verify(args):
     header = ["name", "trials", "violations", "violation_rate",
               "theoretical_bound", "worst_margin", "params_json", "seed",
               "verdict"]
-    rows = [_report_row(rep) for rep in reports]
+    content = _csv_text(header, [_report_row(rep) for rep in reports])
     if args.out:
         os.makedirs(args.out, exist_ok=True)
-        content = _write_csv(os.path.join(args.out, "verify.csv"), header, rows)
-    else:
-        content = ",".join(header) + "\n" + "\n".join(
-            ",".join(_fmt(v) for v in row) for row in rows
-        ) + "\n"
+        _write_text(os.path.join(args.out, "verify.csv"), content)
     sys.stdout.write(content)
     failing = [rep.name for rep in reports if rep.verdict == "FAIL"]
     return 1 if failing else 0
@@ -308,7 +291,7 @@ def _add_ablation_flags(p):
 
 
 def _add_algorithm_flags(p):
-    p.add_argument("--delta", type=_delta_value, default=0.05)
+    p.add_argument("--delta", type=float, default=0.05)
     p.add_argument("--mu-upper", dest="mu_upper", type=float, default=None,
                    help="coherence upper bound for the true column space")
     p.add_argument("--estimate-mu", dest="estimate_mu", action="store_true",
@@ -327,7 +310,7 @@ def build_parser():
     g.add_argument("--m", type=_positive_int, required=True)
     g.add_argument("--n", type=_positive_int, required=True)
     g.add_argument("--r", type=_positive_int, required=True)
-    g.add_argument("--epsilon", type=_epsilon_value, required=True)
+    g.add_argument("--epsilon", type=float, required=True)
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--out", required=True)
     g.add_argument("--noise-mode", dest="noise_mode",
@@ -351,8 +334,8 @@ def build_parser():
     s.add_argument("--m", type=_int_list, required=True)
     s.add_argument("--n", type=_int_list, required=True)
     s.add_argument("--r", type=_int_list, required=True)
-    s.add_argument("--epsilon", type=_epsilon_list, required=True)
-    s.add_argument("--delta", type=_delta_list, default=[0.05])
+    s.add_argument("--epsilon", type=_float_list, required=True)
+    s.add_argument("--delta", type=_float_list, default=[0.05])
     s.add_argument("--trials", type=_positive_int, default=1)
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--out", required=True)

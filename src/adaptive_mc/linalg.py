@@ -103,12 +103,6 @@ class OrthonormalBasis:
     def dim(self):
         return self.matrix.shape[1]
 
-    def restrict_rows(self, omega):
-        """Rows of the basis matrix indexed by ``omega`` (generally not
-        orthonormal)."""
-        omega = _check_index_set(omega, self.ambient_dim)
-        return self.matrix[omega, :]
-
     def __repr__(self):
         return f"OrthonormalBasis(ambient_dim={self.ambient_dim}, dim={self.dim})"
 

@@ -52,6 +52,7 @@ from .sampling import RngState, sample_uniform_subset
 from .synthetic import MAX_EPSILON
 
 __all__ = [
+    "RESIDUAL_FLOOR",
     "LrebnConfig",
     "ColumnRecord",
     "SubspaceEvent",
@@ -67,6 +68,11 @@ __all__ = [
 ]
 
 MAX_DELTA = 0.1
+
+# Residuals at or below this value count as exactly zero in the novelty
+# test, so float-level least-squares noise (~1e-15) cannot trigger a full
+# observation when the exact threshold is 0.
+RESIDUAL_FLOOR = 1e-9
 
 # Stream label for the row-pattern draws inside a run.
 _STREAM_OMEGA = 7
@@ -105,11 +111,6 @@ class LrebnConfig:
     omega_redraw : {"on-update", "per-column"}
         Default redraws the row pattern only after a subspace update;
         "per-column" is an ablation that redraws for every column.
-    residual_floor : float
-        Residuals at or below this value are treated as exactly zero
-        before the threshold test, so float-level least-squares noise
-        (~1e-15) cannot trigger a full observation when the exact
-        threshold is 0.
     seed : int
         Seed for the row-pattern stream.
     """
@@ -122,7 +123,6 @@ class LrebnConfig:
     angle_cap_enabled: bool = True
     estimate_mu: bool = False
     omega_redraw: str = REDRAW_ON_UPDATE
-    residual_floor: float = 1e-9
     seed: int = 0
 
     def __post_init__(self):
@@ -151,8 +151,6 @@ class LrebnConfig:
                 f"omega_redraw must be '{REDRAW_ON_UPDATE}' or "
                 f"'{REDRAW_PER_COLUMN}'"
             )
-        if self.residual_floor < 0.0:
-            raise ValueError("residual_floor must be non-negative")
 
 
 class ColumnRecord(NamedTuple):
@@ -192,13 +190,13 @@ class RecoveryResult:
 
     ``column_records`` holds one ``ColumnRecord`` per column and
     ``budget_trace`` the initial ``SubspaceEvent`` plus one per subspace
-    update; ``column_mode`` and ``theta_trace`` are read from them.
+    update; ``column_mode``, ``theta_trace`` and ``k_final`` are read from
+    them.
     """
 
     M_tilde: np.ndarray
     observations: int
     budget_trace: list
-    k_final: int
     bound_violations: int
     column_records: list
 
@@ -211,6 +209,11 @@ class RecoveryResult:
     def theta_trace(self):
         """``(k, theta_tilde)`` per budget event, from ``(0, 0.0)`` on."""
         return [(ev.k, ev.theta_tilde) for ev in self.budget_trace]
+
+    @property
+    def k_final(self):
+        """Estimated dimension at the end of the run."""
+        return self.budget_trace[-1].k
 
 
 def _budget_formula(mu, r, delta, m, theta_tilde):
@@ -255,12 +258,15 @@ def residual_threshold(d, m, k, epsilon, theta_tilde):
 def column_test(residual, d, m, k, cfg, theta_tilde):
     """True when the sampled residual exceeds the novelty threshold.
 
-    At k = 0 the threshold is 0, so any strictly positive residual sends
-    the column to full observation.
+    Residuals at or below ``RESIDUAL_FLOOR`` count as zero.  At k = 0 the
+    threshold is 0, so any residual above the floor sends the column to
+    full observation.
     """
     if residual < 0.0:
         raise ValueError("residual must be non-negative")
-    return residual > residual_threshold(d, m, k, cfg.epsilon, theta_tilde)
+    return (residual > RESIDUAL_FLOOR
+            and residual > residual_threshold(d, m, k, cfg.epsilon,
+                                              theta_tilde))
 
 
 def angle_increment(theta_tilde_prev, theta_new_col, cfg, k):
@@ -370,10 +376,9 @@ def run_lrebn(oracle, cfg):
             solver = RestrictedSolver(
                 basis, sample_uniform_subset(m, min(d_budget, m), omega_rng))
         coef, residual, _ = solver.fit(oracle.entries(solver.omega, i))
-        eff_residual = 0.0 if residual <= cfg.residual_floor else residual
         thr = residual_threshold(d_budget, m, k, cfg.epsilon, theta)
 
-        if eff_residual > thr:
+        if column_test(residual, d_budget, m, k, cfg, theta):
             y_full = oracle.column(i)
             M_tilde[:, i] = y_full
             records.append(ColumnRecord(i, "FullyObserved", k, d_budget,
@@ -403,7 +408,6 @@ def run_lrebn(oracle, cfg):
         M_tilde=M_tilde,
         observations=oracle.entry_count,
         budget_trace=budget_trace,
-        k_final=k,
         bound_violations=bound_violations,
         column_records=records,
     )

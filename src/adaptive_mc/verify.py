@@ -30,7 +30,9 @@ from .linalg import (
     vector_subspace_angle,
     vector_vector_angle,
 )
+from .lrebn import _budget_formula, residual_threshold
 from .sampling import RngState, sample_uniform_subset
+from .synthetic import MAX_EPSILON
 
 __all__ = [
     "DET_TOL",
@@ -49,17 +51,6 @@ __all__ = [
 
 # Margin tolerance for deterministic inequalities.
 DET_TOL = 1e-9
-
-_CHECK_STREAM = {
-    "kcoh": 11,
-    "noisycoh": 12,
-    "ind": 13,
-    "conc": 14,
-    "ks14": 15,
-    "matcher": 16,
-    "ededler": 17,
-    "blum": 18,
-}
 
 
 @dataclass
@@ -116,10 +107,11 @@ class CheckReport:
 
 def _as_state(rng, name):
     """Per-check root stream from an int seed or RngState."""
+    stream = _CHECKS[name][0]
     if isinstance(rng, RngState):
-        return rng.substream(_CHECK_STREAM[name])
+        return rng.substream(stream)
     if isinstance(rng, (int, np.integer)):
-        return RngState(int(rng), _CHECK_STREAM[name])
+        return RngState(int(rng), stream)
     raise TypeError(
         "checks need a replayable stream; pass an integer seed or RngState"
     )
@@ -304,9 +296,7 @@ def check_ededler(m_values, r_values, delta_values, theta_values=None):
                 ln_inv = math.log(1.0 / delta)
                 for theta in theta_values:
                     d = max(1, math.ceil(
-                        72.0 * r * ln_inv ** 2
-                        + 8.0 * m * theta ** 2 * math.log(r / delta)
-                    ))
+                        _budget_formula(1.0, r, delta, m, theta)))
                     margin = d / 4.0 - (
                         18.0 * r * ln_inv ** 2 + 18.0 * theta ** 2 * ln_inv ** 2
                     )
@@ -408,18 +398,16 @@ def check_conc(m, k, d, epsilon, delta, trials, rng):
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    if not 0.0 <= epsilon < 0.25:
-        raise ValueError("epsilon must lie in [0, 1/4)")
+    if not 0.0 <= epsilon < MAX_EPSILON:
+        raise ValueError(f"epsilon must lie in [0, {MAX_EPSILON})")
     state = _as_state(rng, "conc")
+    sqrt_keps = math.sqrt(k * epsilon)
     if d is None:
         d = min(m, max(1, math.ceil(
-            72.0 * k * math.log(1.0 / delta) ** 2
-            + 8.0 * m * (k * epsilon) * math.log(k / delta)
-        )))
+            _budget_formula(1.0, k, delta, m, sqrt_keps))))
     d = int(d)
     if not 1 <= d <= m:
         raise ValueError("need 1 <= d <= m")
-    sqrt_keps = math.sqrt(k * epsilon)
     fired = 0
     violations = 0
     worst = math.inf
@@ -441,11 +429,7 @@ def check_conc(m, k, d, epsilon, delta, trials, rng):
         column = clean + epsilon * _unit(gen, m)
         omega = sample_uniform_subset(m, d, gen)
         residual = RestrictedSolver(tilted, omega).fit(column[omega])[1]
-        threshold = (1.0 + epsilon) * (
-            math.sqrt(3.0 * d / (2.0 * m)) * theta
-            + math.sqrt(3.0 * d * k * epsilon / (2.0 * m))
-        )
-        if residual > threshold:
+        if residual > residual_threshold(d, m, k, epsilon, theta):
             fired += 1
             angle = vector_subspace_angle(column, tilted)
             margin = angle - (theta + sqrt_keps)
@@ -462,7 +446,9 @@ def check_conc(m, k, d, epsilon, delta, trials, rng):
 
 
 def check_ks14(m, k, d, delta, trials, rng):
-    """Two-sided restricted-residual concentration, in squared norms.
+    """Two-sided restricted-residual concentration, in squared norms
+    (Krishnamurthy & Singh, "On the power of adaptivity in matrix
+    completion and approximation", 2014).
 
     Per trial: random k-dim subspace S, Gaussian y, uniform d-subset
     Omega.  With R2 the full squared residual of y against S and r2 the
@@ -624,33 +610,25 @@ def _finite(x):
 # Dispatch
 # ---------------------------------------------------------------------------
 
-CHECK_NAMES = (
-    "kcoh", "noisycoh", "ind", "conc", "ks14", "matcher", "ededler", "blum",
-)
-
-_DEFAULT_TRIALS = {
-    "kcoh": 10_000,
-    "noisycoh": 10_000,
-    "ind": 200,
-    "conc": 5_000,
-    "ks14": 5_000,
-    "matcher": 10_000,
-    "ededler": 0,       # grid-driven, trials ignored
-    "blum": 10_000,
+# name -> (stream label, default trials, default parameters).  A trials
+# default of None marks a grid-driven check that takes neither trials
+# nor a seed.  ``run_check`` looks ``check_<name>`` up in the module
+# globals at call time, so a rebound check function is the one that runs.
+_CHECKS = {
+    "kcoh": (11, 10_000, dict(m=20, r=5, k=2)),
+    "noisycoh": (12, 10_000, dict(m=30, k=3, theta_max=0.3)),
+    "ind": (13, 200, dict(k_max=10_000, epsilon=0.01)),
+    "conc": (14, 5_000, dict(m=200, k=3, d=None, epsilon=0.01, delta=0.05)),
+    "ks14": (15, 5_000, dict(m=500, k=4, d=None, delta=0.05)),
+    "matcher": (16, 10_000, dict(n_dim=50, r=5, L_bound=None,
+                                 epsilon_chern=0.5, num_draws=200)),
+    "ededler": (17, None, dict(m_values=(40, 100, 400, 1000),
+                               r_values=(1, 2, 4, 8),
+                               delta_values=(0.09, 0.05, 0.01, 0.001))),
+    "blum": (18, 10_000, dict(m=20, k=3)),
 }
 
-_DEFAULT_PARAMS = {
-    "kcoh": dict(m=20, r=5, k=2),
-    "noisycoh": dict(m=30, k=3, theta_max=0.3),
-    "ind": dict(k_max=10_000, epsilon=0.01),
-    "conc": dict(m=200, k=3, d=None, epsilon=0.01, delta=0.05),
-    "ks14": dict(m=500, k=4, d=None, delta=0.05),
-    "matcher": dict(n_dim=50, r=5, L_bound=None, epsilon_chern=0.5,
-                    num_draws=200),
-    "ededler": dict(m_values=(40, 100, 400, 1000), r_values=(1, 2, 4, 8),
-                    delta_values=(0.09, 0.05, 0.01, 0.001)),
-    "blum": dict(m=20, k=3),
-}
+CHECK_NAMES = tuple(_CHECKS)
 
 
 def run_check(name, trials=None, seed=0, **overrides):
@@ -660,20 +638,12 @@ def run_check(name, trials=None, seed=0, **overrides):
     merged into the default parameters.  The grid-driven ededler check
     ignores trials and seed.
     """
-    if name not in CHECK_NAMES:
+    if name not in _CHECKS:
         raise ValueError(f"unknown check {name!r}; choose from {CHECK_NAMES}")
-    params = dict(_DEFAULT_PARAMS[name])
-    params.update(overrides)
-    if name == "ededler":
-        return check_ededler(**params)
-    n_trials = _DEFAULT_TRIALS[name] if trials is None else int(trials)
-    func = {
-        "kcoh": check_kcoh,
-        "noisycoh": check_noisycoh,
-        "ind": check_ind,
-        "conc": check_conc,
-        "ks14": check_ks14,
-        "matcher": check_matcher,
-        "blum": check_blum,
-    }[name]
+    _, default_trials, defaults = _CHECKS[name]
+    params = dict(defaults, **overrides)
+    func = globals()[f"check_{name}"]
+    if default_trials is None:
+        return func(**params)
+    n_trials = default_trials if trials is None else int(trials)
     return func(trials=n_trials, rng=seed, **params)

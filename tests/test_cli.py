@@ -42,11 +42,23 @@ def test_generate_deterministic(tmp_path):
 
 
 def test_generate_rejects_model_epsilon(tmp_path, capsys):
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["generate", "--m", "10", "--n", "10", "--r", "2",
-                  "--epsilon", "0.3", "--out", str(tmp_path / "x")])
-    assert exc.value.code == 2
-    assert "epsilon must be < 0.25" in capsys.readouterr().err
+    rc = cli.main(["generate", "--m", "10", "--n", "10", "--r", "2",
+                   "--epsilon", "0.3", "--out", str(tmp_path / "x")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "epsilon must be < 0.25" in err
+    assert "Traceback" not in err
+
+
+def test_generate_rejects_nan_epsilon(tmp_path, capsys):
+    out = tmp_path / "x"
+    rc = cli.main(["generate", "--m", "10", "--n", "10", "--r", "2",
+                   "--epsilon", "nan", "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: epsilon must be < 0.25")
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("value", ["nan", "5", "-1"])
@@ -101,11 +113,23 @@ def test_run_noiseless_summary(instance_dir, tmp_path):
 
 
 def test_run_rejects_large_delta(instance_dir, tmp_path, capsys):
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["run", "--instance", str(instance_dir), "--delta", "0.2",
-                  "--out", str(tmp_path / "x")])
-    assert exc.value.code == 2
-    assert "delta" in capsys.readouterr().err
+    rc = cli.main(["run", "--instance", str(instance_dir), "--delta", "0.2",
+                   "--out", str(tmp_path / "x")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "delta" in err
+    assert "Traceback" not in err
+
+
+def test_run_rejects_nan_delta(instance_dir, tmp_path, capsys):
+    out = tmp_path / "x"
+    rc = cli.main(["run", "--instance", str(instance_dir), "--delta", "nan",
+                   "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: delta must satisfy")
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 def test_run_missing_instance_errors(tmp_path, capsys):
@@ -264,6 +288,24 @@ def test_sweep_and_verify_run_on_calling_thread(tmp_path, monkeypatch):
     assert [name for name, _ in calls] == (
         ["_sweep_cell"] * 4 + ["run_check"] * 2)
     assert {ident for _, ident in calls} == {threading.get_ident()}
+
+
+@pytest.mark.parametrize("epsilons,deltas", [("0,0.3", "0.05"),
+                                             ("0", "0.05,0.2")])
+def test_sweep_rejects_bad_list_value_before_any_cell(
+        tmp_path, monkeypatch, capsys, epsilons, deltas):
+    calls = []
+    monkeypatch.setattr(cli, "_sweep_cell", lambda *a: calls.append(a))
+    out = tmp_path / "sw"
+    rc = cli.main(["sweep", "--m", "30", "--n", "20", "--r", "2",
+                   "--epsilon", epsilons, "--delta", deltas,
+                   "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+    assert calls == []
+    assert not (out / "sweep.csv").exists()
 
 
 def test_single_cell_sweep_matches_library(tmp_path):

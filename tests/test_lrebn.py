@@ -6,6 +6,7 @@ import pytest
 from adaptive_mc import lrebn
 from adaptive_mc.linalg import RestrictedSolver, coherence
 from adaptive_mc.lrebn import (
+    RESIDUAL_FLOOR,
     LrebnConfig,
     angle_increment,
     column_test,
@@ -128,7 +129,11 @@ def test_threshold_zero_at_k_zero():
 def test_noiseless_test_reduces_to_positivity():
     cfg = cfg_for(epsilon=0.0)
     assert residual_threshold(40, 100, 3, 0.0, 0.0) == 0.0
-    assert column_test(1e-12, 40, 100, 3, cfg, 0.0)
+    # Positivity above the floor: residuals up to RESIDUAL_FLOOR count
+    # as least-squares round-off, not as a new direction.
+    assert not column_test(1e-12, 40, 100, 3, cfg, 0.0)
+    assert not column_test(RESIDUAL_FLOOR, 40, 100, 3, cfg, 0.0)
+    assert column_test(1e-6, 40, 100, 3, cfg, 0.0)
     assert not column_test(0.0, 40, 100, 3, cfg, 0.0)
 
 
@@ -329,6 +334,29 @@ def test_run_builds_one_solver_per_budget_event(monkeypatch):
     result = run_lrebn(ObservationOracle(inst.M), cfg)
     assert len(result.budget_trace) > 1
     assert built == [event.k for event in result.budget_trace]
+
+
+@pytest.mark.parametrize("epsilon", [0.0, 0.05])
+def test_run_modes_follow_column_test(epsilon):
+    # The run decides through column_test itself: a column is observed in
+    # full exactly when the test fires on its recorded decision state.
+    m = 60
+    inst = make_instance(m, 90, 3, epsilon, 12)
+    cfg = cfg_for(epsilon=epsilon, r=3, mu=coherence(inst.true_basis), seed=5)
+    result = run_lrebn(ObservationOracle(inst.M), cfg)
+    assert set(result.column_mode) == {"FullyObserved", "Reconstructed"}
+    for rec in result.column_records:
+        fired = column_test(rec.residual, rec.d, m, rec.k, cfg,
+                            rec.theta_tilde)
+        assert (rec.mode == "FullyObserved") == fired, rec
+
+
+def test_k_final_is_read_from_budget_trace():
+    inst = make_instance(40, 50, 3, 0.0, 2)
+    result = run_lrebn(ObservationOracle(inst.M), cfg_for(r=3, seed=1))
+    assert result.k_final == result.budget_trace[-1].k == 3
+    with pytest.raises(AttributeError):
+        result.k_final = 0
 
 
 def test_run_is_deterministic():

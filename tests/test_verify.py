@@ -11,6 +11,7 @@ from adaptive_mc.linalg import (
     vector_subspace_angle,
     vector_vector_angle,
 )
+from adaptive_mc.lrebn import LrebnConfig, updated_budget
 from adaptive_mc.verify import (
     CHECK_NAMES,
     CheckReport,
@@ -265,6 +266,21 @@ def test_conc_subsampled_regime():
                      trials=1500, rng=10)
     assert rep.params["fired"] > 100
     assert rep.violation_rate <= 2 * 0.05 + rep.slack
+
+
+def test_conc_default_budget_is_the_run_budget():
+    # d=None must give the budget run_lrebn would use at mu = 1, rank k
+    # and theta = sqrt(k eps); the grid includes sub-sampled points.
+    subsampled = 0
+    for m, k, epsilon, delta in [(200, 3, 0.01, 0.05), (5000, 1, 0.0, 0.09),
+                                 (5000, 2, 0.001, 0.05), (800, 1, 0.0, 0.09),
+                                 (3000, 4, 0.02, 0.01)]:
+        report = check_conc(m, k, None, epsilon, delta, trials=1, rng=0)
+        cfg = LrebnConfig(epsilon, delta, r=k, mu_upper=1.0)
+        expected = updated_budget(cfg, m, math.sqrt(k * epsilon))
+        assert report.params["d"] == expected
+        subsampled += expected < m
+    assert subsampled >= 1
 
 
 def test_conc_zero_noise_allowed():
