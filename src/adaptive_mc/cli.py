@@ -90,13 +90,6 @@ def _write_csv(path, header, rows):
     _write_text(path, _csv_text(header, rows))
 
 
-def _derive_seed(seed, *key):
-    seq = np.random.SeedSequence(
-        entropy=int(seed), spawn_key=tuple(int(x) for x in key)
-    )
-    return int(seq.generate_state(1, dtype=np.uint64)[0])
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -199,7 +192,8 @@ def _sweep_cell(args, cell_index, m, n, r, epsilon, delta, trial):
         budget_cap_to_m=not args.no_budget_cap,
         angle_cap_enabled=not args.no_angle_cap,
         omega_redraw=args.omega_redraw,
-        seed=_derive_seed(args.seed, _STREAM_SWEEP_RUN, cell_index, trial),
+        seed=RngState(args.seed, _STREAM_SWEEP_RUN, cell_index,
+                      trial).derived_seed(),
     )
     result = run_lrebn(ObservationOracle(inst.M), cfg)
     errors = recovery_errors(result, inst.L)

@@ -31,9 +31,16 @@ class RngState:
         self.seed = int(seed)
         self.stream = tuple(int(s) for s in stream)
 
+    def _sequence(self):
+        return np.random.SeedSequence(entropy=self.seed, spawn_key=self.stream)
+
     def generator(self):
-        seq = np.random.SeedSequence(entropy=self.seed, spawn_key=self.stream)
-        return np.random.Generator(np.random.Philox(seq))
+        return np.random.Generator(np.random.Philox(self._sequence()))
+
+    def derived_seed(self):
+        """A 64-bit integer seed drawn from this stream, for consumers
+        that take a plain integer seed (such as ``LrebnConfig.seed``)."""
+        return int(self._sequence().generate_state(1, dtype=np.uint64)[0])
 
     def substream(self, *indices):
         """Derive an independent stream labelled by extra indices."""

@@ -232,6 +232,17 @@ def generate_low_rank(m, n, r, rng, coherence_mode="incoherent",
     return basis.matrix @ coeff, basis
 
 
+def _check_epsilon(epsilon):
+    """``epsilon`` as a float; ValueError unless it lies in [0, 1/4)."""
+    epsilon = float(epsilon)
+    if not 0.0 <= epsilon < MAX_EPSILON:
+        raise ValueError(
+            f"epsilon must be < {MAX_EPSILON} (bounded-noise model "
+            f"precondition); got {epsilon}"
+        )
+    return epsilon
+
+
 def add_bounded_noise(L, epsilon, rng, mode="sphere", true_basis=None, r=None):
     """Wrap a unit-column low-rank matrix into a noisy ProblemInstance.
 
@@ -248,12 +259,7 @@ def add_bounded_noise(L, epsilon, rng, mode="sphere", true_basis=None, r=None):
         not supplied.
     """
     L = np.asarray(L, dtype=float)
-    epsilon = float(epsilon)
-    if not 0.0 <= epsilon < MAX_EPSILON:
-        raise ValueError(
-            f"epsilon must be < {MAX_EPSILON} (bounded-noise model "
-            f"precondition); got {epsilon}"
-        )
+    epsilon = _check_epsilon(epsilon)
     if mode not in ("sphere", "scaled-gaussian"):
         raise ValueError(f"unknown noise mode {mode!r}")
     m, n = L.shape
@@ -352,6 +358,7 @@ def make_instance(m, n, r, epsilon, seed, coherence_mode="incoherent",
     or an RngState), so the same seed always reproduces the same
     instance.
     """
+    _check_epsilon(epsilon)
     root = seed if isinstance(seed, RngState) else RngState(int(seed))
     L, basis = generate_low_rank(
         m, n, r, root.substream(_STREAM_BASIS),

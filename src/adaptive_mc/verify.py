@@ -9,7 +9,11 @@ the stated bound plus three binomial standard errors, so finite-sample
 noise cannot flake a verdict.
 
 Every report is reproducible bit for bit from (name, params, seed): all
-randomness flows through per-trial substreams of the given seed.
+randomness flows through per-trial substreams of the given seed.  Each
+check runs in two phases per chunk of trials.  A Python loop makes every
+trial's draws from that trial's own substream; the linear algebra then
+runs once over the stacked trials (QR frames, batched SVDs and
+eigenvalues).  The chunk size bounds memory and changes no result.
 """
 
 from __future__ import annotations
@@ -19,17 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import (
-    OrthonormalBasis,
-    RestrictedSolver,
-    coherence,
-    orthonormalize,
-    project,
-    subspace_subspace_angle,
-    vector_coherence,
-    vector_subspace_angle,
-    vector_vector_angle,
-)
+from .linalg import _SINE_SWITCH, DEFAULT_RANK_TOL, LSTSQ_RCOND
 from .lrebn import _budget_formula, residual_threshold
 from .sampling import RngState, sample_uniform_subset
 from .synthetic import MAX_EPSILON
@@ -117,42 +111,155 @@ def _as_state(rng, name):
     )
 
 
-def _haar_basis(gen, m, k):
-    """Orthonormalized Gaussian m x k frame (Haar-distributed span)."""
-    for _ in range(16):
-        cand = orthonormalize(gen.standard_normal((m, k)))
-        if cand.dim == k:
-            return cand
-    raise RuntimeError("failed to draw a full-rank random frame")
+# ---------------------------------------------------------------------------
+# Batched linear algebra
+# ---------------------------------------------------------------------------
+
+# Trials per stacked step, and the byte cap on one stacked float64
+# temporary; a check takes the smaller of the two.  Larger stacks were no
+# faster, and the heap a check leaves resident grows with them.  Chunking
+# bounds memory only: every trial's draws and integer outcomes are the
+# same at any chunk size, and margins agree up to rounding.
+_CHUNK_TRIALS = 128
+_CHUNK_BYTES = 250_000
 
 
-def _complement_frame(gen, basis, k):
-    """k orthonormal directions orthogonal to ``basis``."""
-    m = basis.ambient_dim
-    for _ in range(16):
-        raw = gen.standard_normal((m, k))
-        raw -= basis.matrix @ (basis.matrix.T @ raw)
-        cand = orthonormalize(raw)
-        if cand.dim == k:
-            return cand
-    raise RuntimeError("failed to draw a complement frame")
+def _chunks(first, stop, floats_per_trial):
+    """Consecutive ranges of trial indices covering [first, stop)."""
+    size = max(1, min(_CHUNK_TRIALS, _CHUNK_BYTES // (8 * floats_per_trial)))
+    for lo in range(first, stop, size):
+        yield range(lo, min(lo + size, stop))
 
 
-def _rotated_copy(gen, basis, max_angle):
-    """Rotate each basis direction by its own angle <= max_angle into
-    fresh orthogonal directions; the result is again orthonormal and its
-    largest principal angle to ``basis`` equals the largest per-column
-    angle."""
-    k = basis.dim
-    w = _complement_frame(gen, basis, k)
-    angles = gen.uniform(0.0, max_angle, size=k)
-    mat = basis.matrix * np.cos(angles) + w.matrix * np.sin(angles)
-    return OrthonormalBasis(mat)
+def _generators(state, chunk):
+    return [state.substream(t).generator() for t in chunk]
 
 
-def _unit(gen, m):
-    v = gen.standard_normal(m)
-    return v / np.linalg.norm(v)
+def _mT(a):
+    return np.swapaxes(a, -1, -2)
+
+
+def _reject(basis, x):
+    """``x`` minus its projection onto the span of ``basis``, for stacks
+    (or single frames) of matrices."""
+    return x - basis @ (_mT(basis) @ x)
+
+
+def _frames(raw):
+    """Orthonormal frames of a (t, m, k) stack, and a full-rank flag each.
+
+    QR with every column's sign set so that diag(R) is positive gives the
+    frame ``orthonormalize`` builds by Gram-Schmidt, up to rounding.
+    |R_jj| is the norm of column j's residual after the columns before
+    it, so a frame is flagged where ``orthonormalize`` would drop a
+    column at ``DEFAULT_RANK_TOL``.
+    """
+    q, r = np.linalg.qr(raw)
+    diag = np.diagonal(r, axis1=1, axis2=2)
+    q *= np.where(diag < 0.0, -1.0, 1.0)[:, None, :]
+    return q, np.all(np.abs(diag) > DEFAULT_RANK_TOL, axis=1)
+
+
+def _full_frames(raw, gens, redraw):
+    """``_frames`` of ``raw`` with every rank-deficient frame replaced.
+
+    ``redraw(i, gens[i])`` draws a new raw frame for stack entry i from
+    its trial's generator, up to 15 times.  Those draws come after all of
+    the trial's other draws; only a rank-deficient draw, an event of
+    probability zero, sees that order.
+    """
+    m, k = raw.shape[1:]
+    if k > m:
+        raise RuntimeError("failed to draw a full-rank random frame")
+    q, full = _frames(raw)
+    for i in np.flatnonzero(~full):
+        for _ in range(15):
+            qi, ok = _frames(redraw(i, gens[i])[None])
+            if ok[0]:
+                q[i] = qi[0]
+                break
+        else:
+            raise RuntimeError("failed to draw a full-rank random frame")
+    return q
+
+
+def _complement_frames(base, raw, gens):
+    """Frames of the parts of ``raw`` orthogonal to ``base``."""
+    return _full_frames(
+        _reject(base, raw), gens,
+        lambda i, gen: _reject(base[i], gen.standard_normal(raw.shape[1:])))
+
+
+def _rotated(base, w, angles):
+    """Turn each direction of ``base`` by its own angle toward the matching
+    direction of the orthogonal frame ``w``; the result is again
+    orthonormal and its largest principal angle to ``base`` equals the
+    largest per-column angle."""
+    return base * np.cos(angles)[:, None, :] + w * np.sin(angles)[:, None, :]
+
+
+def _coherences(q):
+    """``coherence`` of each frame of a (t, m, k) stack."""
+    m, k = q.shape[1:]
+    return m / k * np.max(np.einsum("tij,tij->ti", q, q), axis=1)
+
+
+def _angles(cos, sin):
+    """Angles from clamped cosine and sine ratios, through arcsin where the
+    cosine exceeds ``_SINE_SWITCH`` (the rule of the linalg angles)."""
+    return np.where(cos > _SINE_SWITCH, np.arcsin(np.clip(sin, 0.0, 1.0)),
+                    np.arccos(np.clip(cos, 0.0, 1.0)))
+
+
+def _vector_angles(x, y):
+    """``vector_vector_angle`` of matching rows of two (t, m) stacks."""
+    x = x / np.linalg.norm(x, axis=1, keepdims=True)
+    y = y / np.linalg.norm(y, axis=1, keepdims=True)
+    dots = np.einsum("ti,ti->t", x, y)
+    return _angles(np.abs(dots), np.linalg.norm(x - dots[:, None] * y, axis=1))
+
+
+def _vector_subspace_angles(x, basis):
+    """``vector_subspace_angle`` of the rows of ``x`` (t, m) against a
+    (t, m, k) stack of frames; an empty frame (k = 0) gives pi/2."""
+    nrm = np.linalg.norm(x, axis=1)
+    p = (basis @ (_mT(basis) @ x[..., None]))[..., 0]
+    return _angles(np.linalg.norm(p, axis=1) / nrm,
+                   np.linalg.norm(x - p, axis=1) / nrm)
+
+
+def _subspace_angles(u, v):
+    """``subspace_subspace_angle`` of matching frames of two (t, m, k)
+    stacks."""
+    cross = _mT(v) @ u
+    cos = np.linalg.svd(cross, compute_uv=False)[:, -1]
+    sin = np.linalg.svd(u - v @ cross, compute_uv=False)[:, 0]
+    return _angles(cos, sin)
+
+
+def _restricted_residuals(basis, y, mask):
+    """Sampled-row least-squares residual norms of a stack of problems:
+    ``|| y_omega - B_omega pinv(B_omega) y_omega ||`` per entry, with
+    omega given as a (t, m) boolean row mask.
+
+    Zeroing the unsampled rows changes neither the singular values of
+    ``B_omega`` nor the residual, so omegas of different sizes share one
+    batched SVD.  Singular values at or below ``LSTSQ_RCOND`` times the
+    largest are dropped: the rank rule of ``RestrictedSolver``.
+    """
+    y = y * mask
+    if basis.shape[2] == 0 or len(y) == 0:
+        return np.linalg.norm(y, axis=1)
+    u, s, _ = np.linalg.svd(basis * mask[:, :, None], full_matrices=False)
+    u *= (s > LSTSQ_RCOND * s[:, :1])[:, None, :]
+    return np.linalg.norm(_reject(u, y[..., None])[..., 0], axis=1)
+
+
+def _tally(margins, tol, worst, violations):
+    """Fold a chunk's margins into the running worst margin and count."""
+    if margins.size:
+        worst = min(worst, float(margins.min()))
+    return worst, violations + int(np.count_nonzero(margins < -tol))
 
 
 # ---------------------------------------------------------------------------
@@ -168,38 +275,27 @@ def check_kcoh(m, r, k, trials, rng):
     state = _as_state(rng, "kcoh")
     violations = 0
     worst = math.inf
-    for t in range(trials):
-        gen = state.substream(t).generator()
-        raw = gen.standard_normal((m, r))
-        spiked = t % 4 == 3
-        if spiked:
-            axis = np.zeros(m)
-            axis[int(gen.integers(m))] = 1.0
-            raw[:, 0] = axis
-        u = orthonormalize(raw)
-        if u.dim < r:
-            raw = gen.standard_normal((m, r))
-            u = orthonormalize(raw)
-        sub = _haar_basis_from(gen, u, k)
-        margin = r * coherence(u) - k * coherence(sub)
-        worst = min(worst, margin)
-        if margin < -DET_TOL:
-            violations += 1
+    for chunk in _chunks(0, trials, m * r):
+        gens = _generators(state, chunk)
+        raw = np.empty((len(chunk), m, r))
+        coef = np.empty((len(chunk), r, k))
+        for i, (t, gen) in enumerate(zip(chunk, gens)):
+            raw[i] = gen.standard_normal((m, r))
+            if t % 4 == 3:
+                raw[i, :, 0] = 0.0
+                raw[i, int(gen.integers(m)), 0] = 1.0
+            coef[i] = gen.standard_normal((r, k))
+        u = _full_frames(raw, gens, lambda i, gen: gen.standard_normal((m, r)))
+        sub = _full_frames(u @ coef, gens,
+                           lambda i, gen: u[i] @ gen.standard_normal((r, k)))
+        margins = r * _coherences(u) - k * _coherences(sub)
+        worst, violations = _tally(margins, DET_TOL, worst, violations)
     return CheckReport(
         name="kcoh", trials=trials, violations=violations,
         worst_margin=_finite(worst),
         params={"m": m, "r": r, "k": k, "spiked_every": 4},
         denominator=trials, seed=state.seed,
     )
-
-
-def _haar_basis_from(gen, parent, k):
-    """Random k-dim subspace of the span of ``parent``."""
-    for _ in range(16):
-        cand = orthonormalize(parent.matrix @ gen.standard_normal((parent.dim, k)))
-        if cand.dim == k:
-            return cand
-    raise RuntimeError("failed to draw a nested subspace")
 
 
 def check_noisycoh(m, k, theta_max, trials, rng):
@@ -213,15 +309,21 @@ def check_noisycoh(m, k, theta_max, trials, rng):
     state = _as_state(rng, "noisycoh")
     violations = 0
     worst = math.inf
-    for t in range(trials):
-        gen = state.substream(t).generator()
-        u = _haar_basis(gen, m, k)
-        tilted = _rotated_copy(gen, u, theta_max)
-        theta = subspace_subspace_angle(tilted, u)
-        margin = 2.0 * coherence(u) + 2.0 * (m / k) * theta ** 2 - coherence(tilted)
-        worst = min(worst, margin)
-        if margin < -DET_TOL:
-            violations += 1
+    for chunk in _chunks(0, trials, m * k):
+        gens = _generators(state, chunk)
+        raw_u = np.empty((len(chunk), m, k))
+        raw_w = np.empty((len(chunk), m, k))
+        angles = np.empty((len(chunk), k))
+        for i, gen in enumerate(gens):
+            raw_u[i] = gen.standard_normal((m, k))
+            raw_w[i] = gen.standard_normal((m, k))
+            angles[i] = gen.uniform(0.0, theta_max, size=k)
+        u = _full_frames(raw_u, gens, lambda i, gen: gen.standard_normal((m, k)))
+        tilted = _rotated(u, _complement_frames(u, raw_w, gens), angles)
+        theta = _subspace_angles(tilted, u)
+        margins = (2.0 * _coherences(u) + 2.0 * (m / k) * theta ** 2
+                   - _coherences(tilted))
+        worst, violations = _tally(margins, DET_TOL, worst, violations)
     return CheckReport(
         name="noisycoh", trials=trials, violations=violations,
         worst_margin=_finite(worst),
@@ -249,15 +351,15 @@ def check_ind(k_max, epsilon, trials, rng=0):
     caps = 1.5 * math.pi * np.sqrt(ks * epsilon)
     violations = 0
     worst = math.inf
-    for t in range(trials):
-        if t == 0:
-            c = np.ones(k_max)
-        else:
-            c = state.substream(t).generator().uniform(size=k_max)
-        margins = caps - np.cumsum(c * max_steps)
-        worst = min(worst, float(margins.min()))
-        if margins.min() < -1e-12:
-            violations += 1
+    for chunk in _chunks(0, trials, k_max):
+        c = np.ones((len(chunk), k_max))
+        for i, t in enumerate(chunk):
+            if t != 0:
+                c[i] = state.substream(t).generator().uniform(size=k_max)
+        c *= max_steps
+        np.cumsum(c, axis=1, out=c)
+        lows = np.min(caps - c, axis=1)
+        worst, violations = _tally(lows, 1e-12, worst, violations)
     return CheckReport(
         name="ind", trials=trials, violations=violations,
         worst_margin=_finite(worst),
@@ -332,44 +434,43 @@ def check_blum(m, k, trials, rng):
     violations = 0
     skipped = 0
     worst = math.inf
-    for t in range(trials):
-        gen = state.substream(t).generator()
-        u = _haar_basis(gen, m, k - 1)
-        b = _unit(gen, m)
-        style = t % 3
-        if style == 0:
-            scale = 10.0 ** gen.uniform(-4.0, 0.5)
-            btilde = b + scale * gen.standard_normal(m)
-        elif style == 1:
-            btilde = gen.standard_normal(m)
-        else:
-            perp = b - project(u, b)
-            nrm = np.linalg.norm(perp)
-            if nrm < 1e-8:
-                skipped += 1
-                continue
-            btilde = perp / nrm + 0.1 * gen.standard_normal(m)
-            btilde -= project(u, btilde)
-        nrm = np.linalg.norm(btilde)
-        if nrm < 1e-12:
-            skipped += 1
-            continue
-        btilde /= nrm
-        theta_bu = vector_subspace_angle(btilde, u)
-        if theta_bu < 1e-8:
-            skipped += 1
-            continue
-        v = orthonormalize(list(u.matrix.T) + [b])
-        vt = orthonormalize(list(u.matrix.T) + [btilde])
-        if v.dim < k or vt.dim < k:
-            skipped += 1
-            continue
-        lhs = subspace_subspace_angle(v, vt)
-        rhs = (math.pi / 2.0) * vector_vector_angle(btilde, b) / theta_bu
-        margin = rhs - lhs
-        worst = min(worst, margin)
-        if margin < -DET_TOL:
-            violations += 1
+    for chunk in _chunks(0, trials, m * k):
+        gens = _generators(state, chunk)
+        raw_u = np.empty((len(chunk), m, k - 1))
+        b = np.empty((len(chunk), m))
+        noise = np.empty((len(chunk), m))
+        scale = np.zeros(len(chunk))
+        for i, (t, gen) in enumerate(zip(chunk, gens)):
+            raw_u[i] = gen.standard_normal((m, k - 1))
+            b[i] = gen.standard_normal(m)
+            if t % 3 == 0:
+                scale[i] = 10.0 ** gen.uniform(-4.0, 0.5)
+            noise[i] = gen.standard_normal(m)
+        u = _full_frames(raw_u, gens,
+                         lambda i, gen: gen.standard_normal((m, k - 1)))
+        b /= np.linalg.norm(b, axis=1, keepdims=True)
+        style = np.arange(chunk.start, chunk.stop) % 3
+        btilde = np.where(style[:, None] == 0, b + scale[:, None] * noise, noise)
+        # Style 2: b's component orthogonal to U, plus noise, projected
+        # back into the complement of U.
+        perp = _reject(u, b[..., None])[..., 0]
+        perp_nrm = np.linalg.norm(perp, axis=1)
+        keep = (style != 2) | (perp_nrm >= 1e-8)
+        two = (style == 2) & keep
+        btilde[two] = _reject(
+            u[two], (perp[two] / perp_nrm[two, None] + 0.1 * noise[two])[..., None]
+        )[..., 0]
+        nrm = np.linalg.norm(btilde, axis=1)
+        keep &= nrm >= 1e-12
+        u, b, btilde = u[keep], b[keep], btilde[keep] / nrm[keep, None]
+        theta_bu = _vector_subspace_angles(btilde, u)
+        v, v_full = _frames(np.concatenate([u, b[..., None]], axis=2))
+        vt, vt_full = _frames(np.concatenate([u, btilde[..., None]], axis=2))
+        ok = (theta_bu >= 1e-8) & v_full & vt_full
+        skipped += len(chunk) - int(np.count_nonzero(ok))
+        lhs = _subspace_angles(v[ok], vt[ok])
+        rhs = (math.pi / 2.0) * _vector_angles(btilde[ok], b[ok]) / theta_bu[ok]
+        worst, violations = _tally(rhs - lhs, DET_TOL, worst, violations)
     return CheckReport(
         name="blum", trials=trials, violations=violations,
         worst_margin=_finite(worst),
@@ -408,34 +509,57 @@ def check_conc(m, k, d, epsilon, delta, trials, rng):
     d = int(d)
     if not 1 <= d <= m:
         raise ValueError("need 1 <= d <= m")
+    spread = min(math.pi / 4, 1.5 * math.pi * math.sqrt((k - 1) * epsilon))
     fired = 0
     violations = 0
     worst = math.inf
-    for t in range(trials):
-        gen = state.substream(t).generator()
+    for chunk in _chunks(0, trials, m * k):
+        gens = _generators(state, chunk)
+        c = len(chunk)
+        raw_base = np.empty((c, m, k - 1))
+        raw_w = np.empty((c, m, k - 1))
+        angles = np.empty((c, k - 1))
+        psi = np.empty(c)
+        inside = np.empty((c, k - 1))
+        outside = np.empty((c, m, 1))
+        clean = np.empty((c, m))
+        noise = np.empty((c, m))
+        mask = np.zeros((c, m), dtype=bool)
+        for i, gen in enumerate(gens):
+            if k == 1:
+                clean[i] = gen.standard_normal(m)
+            else:
+                raw_base[i] = gen.standard_normal((m, k - 1))
+                max_angle = gen.uniform(0.0, spread)
+                raw_w[i] = gen.standard_normal((m, k - 1))
+                angles[i] = gen.uniform(0.0, max_angle, size=k - 1)
+                psi[i] = gen.uniform(0.0, math.pi / 2)
+                inside[i] = gen.standard_normal(k - 1)
+                outside[i] = gen.standard_normal((m, 1))
+            noise[i] = gen.standard_normal(m)
+            mask[i, sample_uniform_subset(m, d, gen)] = True
         if k == 1:
-            tilted = OrthonormalBasis.empty(m)
-            theta = 0.0
-            clean = _unit(gen, m)
+            tilted = np.zeros((c, m, 0))
+            theta = np.zeros(c)
+            clean /= np.linalg.norm(clean, axis=1, keepdims=True)
         else:
-            base = _haar_basis(gen, m, k - 1)
-            spread = min(math.pi / 4, 1.5 * math.pi * math.sqrt((k - 1) * epsilon))
-            tilted = _rotated_copy(gen, base, gen.uniform(0.0, spread))
-            theta = subspace_subspace_angle(tilted, base)
-            psi = gen.uniform(0.0, math.pi / 2)
-            inside = base.matrix @ _unit(gen, k - 1)
-            outside = _complement_frame(gen, base, 1).matrix[:, 0]
-            clean = math.cos(psi) * inside + math.sin(psi) * outside
-        column = clean + epsilon * _unit(gen, m)
-        omega = sample_uniform_subset(m, d, gen)
-        residual = RestrictedSolver(tilted, omega).fit(column[omega])[1]
-        if residual > residual_threshold(d, m, k, epsilon, theta):
-            fired += 1
-            angle = vector_subspace_angle(column, tilted)
-            margin = angle - (theta + sqrt_keps)
-            worst = min(worst, margin)
-            if margin < -DET_TOL:
-                violations += 1
+            base = _full_frames(
+                raw_base, gens, lambda i, gen: gen.standard_normal((m, k - 1)))
+            tilted = _rotated(base, _complement_frames(base, raw_w, gens),
+                              angles)
+            theta = _subspace_angles(tilted, base)
+            inside /= np.linalg.norm(inside, axis=1, keepdims=True)
+            outside = _complement_frames(base, outside, gens)[..., 0]
+            clean = (np.cos(psi)[:, None] * (base @ inside[..., None])[..., 0]
+                     + np.sin(psi)[:, None] * outside)
+        column = clean + epsilon * (
+            noise / np.linalg.norm(noise, axis=1, keepdims=True))
+        residual = _restricted_residuals(tilted, column, mask)
+        hit = residual > residual_threshold(d, m, k, epsilon, theta)
+        fired += int(np.count_nonzero(hit))
+        angle = _vector_subspace_angles(column[hit], tilted[hit])
+        margins = angle - (theta[hit] + sqrt_keps)
+        worst, violations = _tally(margins, DET_TOL, worst, violations)
     return CheckReport(
         name="conc", trials=trials, violations=violations,
         worst_margin=_finite(worst),
@@ -468,72 +592,79 @@ def check_ks14(m, k, d, delta, trials, rng):
     is recorded in params.  ``d=None`` picks, per trial, the smallest d
     satisfying the stated preconditions and alpha < 1/2.
     """
+    if not 0.0 < delta < 1.0:
+        raise ValueError("delta must lie in (0, 1)")
     state = _as_state(rng, "ks14")
     ln_inv = math.log(1.0 / delta)
+    ln_2k = math.log(2.0 * k / delta)
     beta = (1.0 + 2.0 * ln_inv) ** 2
     upper_applicable = 0
     lower_applicable = 0
     violations = 0
     lower_violations = 0
     worst = math.inf
-    d_used = []
-    for t in range(trials):
-        gen = state.substream(t).generator()
-        basis = _haar_basis(gen, m, k)
-        y = gen.standard_normal(m)
-        resid_full = y - project(basis, y)
-        r2_full = float(resid_full @ resid_full)
-        mu_sub = coherence(basis)
-        mu_vec = vector_coherence(resid_full)
+    d_lo, d_hi = math.inf, 0
+    for chunk in _chunks(0, trials, m * k):
+        gens = _generators(state, chunk)
+        raw = np.empty((len(chunk), m, k))
+        y = np.empty((len(chunk), m))
+        for i, gen in enumerate(gens):
+            raw[i] = gen.standard_normal((m, k))
+            y[i] = gen.standard_normal(m)
+        basis = _full_frames(raw, gens, lambda i, gen: gen.standard_normal((m, k)))
+        resid_full = _reject(basis, y[..., None])[..., 0]
+        r2_full = np.einsum("ti,ti->t", resid_full, resid_full)
+        mu_sub = _coherences(basis)
+        mu_vec = m * np.max(resid_full * resid_full, axis=1) / r2_full
 
-        d_pre = max(
-            (8.0 / 3.0) * k * mu_sub * math.log(2.0 * k / delta),
-            4.0 * mu_vec * ln_inv,
-        )
+        d_pre = np.maximum((8.0 / 3.0) * k * mu_sub * ln_2k,
+                           4.0 * mu_vec * ln_inv)
         if d is None:
             # Smallest d with alpha(d) < 1/2: solve the quadratic in
             # 1/sqrt(d) and step one past the root.
-            a_coef = math.sqrt(2.0 * mu_vec * ln_inv)
+            a_coef = np.sqrt(2.0 * mu_vec * ln_inv)
             b_coef = (2.0 * mu_vec / 3.0) * ln_inv
-            root = (-a_coef + math.sqrt(a_coef ** 2 + 2.0 * b_coef)) / (2.0 * b_coef)
+            root = (-a_coef + np.sqrt(a_coef ** 2 + 2.0 * b_coef)) / (2.0 * b_coef)
             d_alpha = 1.0 / root ** 2
-            d_t = min(m, int(math.ceil(max(d_pre, d_alpha))) + 1)
+            d_t = np.minimum(
+                m, np.ceil(np.maximum(d_pre, d_alpha)).astype(np.int64) + 1)
         else:
-            d_t = int(d)
-        d_used.append(d_t)
+            d_t = np.full(len(chunk), int(d))
+        d_lo = min(d_lo, int(d_t.min()))
+        d_hi = max(d_hi, int(d_t.max()))
 
-        alpha = (
-            math.sqrt(2.0 * mu_vec * ln_inv / d_t)
-            + (2.0 * mu_vec / (3.0 * d_t)) * ln_inv
-        )
-        zeta = math.sqrt((8.0 * k * mu_sub / (3.0 * d_t)) * math.log(2.0 * k / delta))
+        alpha = (np.sqrt(2.0 * mu_vec * ln_inv / d_t)
+                 + (2.0 * mu_vec / (3.0 * d_t)) * ln_inv)
+        zeta = np.sqrt((8.0 * k * mu_sub / (3.0 * d_t)) * ln_2k)
+        use = (alpha < 0.5) & (d_t >= d_pre)
 
-        use_upper = alpha < 0.5 and d_t >= d_pre
-        use_lower = use_upper and zeta < 1.0 / 3.0
-        if not use_upper:
-            continue
+        # Omega is drawn only for applicable trials, after the data that
+        # decides applicability.
+        mask = np.zeros((len(chunk), m), dtype=bool)
+        for i in np.flatnonzero(use):
+            mask[i, sample_uniform_subset(m, d_t[i], gens[i])] = True
+        r2_restricted = _restricted_residuals(
+            basis[use], y[use], mask[use]) ** 2
+        d_t, alpha, zeta, mu_sub, r2_full = (
+            d_t[use], alpha[use], zeta[use], mu_sub[use], r2_full[use])
 
-        omega = sample_uniform_subset(m, d_t, gen)
-        r2_restricted = RestrictedSolver(basis, omega).fit(y[omega])[1] ** 2
-
-        upper_applicable += 1
-        margin = (1.0 + alpha) * (d_t / m) * r2_full - r2_restricted
-        worst = min(worst, margin)
-        if margin < -1e-12:
-            violations += 1
-        if use_lower:
-            lower_applicable += 1
-            lower = ((d_t * (1.0 - alpha) - k * mu_sub * beta / (1.0 - zeta)) / m) * r2_full
-            if r2_restricted < lower - 1e-12:
-                lower_violations += 1
+        upper_applicable += int(np.count_nonzero(use))
+        margins = (1.0 + alpha) * (d_t / m) * r2_full - r2_restricted
+        worst, violations = _tally(margins, 1e-12, worst, violations)
+        low = zeta < 1.0 / 3.0
+        lower_applicable += int(np.count_nonzero(low))
+        lower = ((d_t * (1.0 - alpha) - k * mu_sub * beta / (1.0 - zeta))
+                 / m) * r2_full
+        lower_violations += int(np.count_nonzero(
+            low & (r2_restricted < lower - 1e-12)))
     return CheckReport(
         name="ks14", trials=trials, violations=violations,
         worst_margin=_finite(worst),
         params={
             "m": m, "k": k, "delta": delta,
             "d": "per-trial" if d is None else int(d),
-            "d_min": int(min(d_used)) if d_used else 0,
-            "d_max": int(max(d_used)) if d_used else 0,
+            "d_min": 0 if d_lo == math.inf else d_lo,
+            "d_max": d_hi,
             "upper_applicable": upper_applicable,
             "lower_applicable": lower_applicable,
             "lower_violations": lower_violations,
@@ -563,7 +694,9 @@ def check_matcher(n_dim, r, L_bound, epsilon_chern, trials, rng, num_draws=200):
     if not 1 <= r <= n_dim:
         raise ValueError("need 1 <= r <= n_dim")
     state = _as_state(rng, "matcher")
-    rows = _haar_basis(state.substream(0).generator(), n_dim, r).matrix
+    gens = _generators(state, [0])
+    rows = _full_frames(gens[0].standard_normal((n_dim, r))[None], gens,
+                        lambda i, gen: gen.standard_normal((n_dim, r)))[0]
     row_sq = np.einsum("ij,ij->i", rows, rows)
     max_row = float(np.max(row_sq))
     scale = 1.0 if L_bound is None else float(L_bound) / max_row
@@ -579,16 +712,12 @@ def check_matcher(n_dim, r, L_bound, epsilon_chern, trials, rng, num_draws=200):
 
     violations = 0
     worst = math.inf
-    for t in range(1, trials + 1):
-        gen = state.substream(t).generator()
-        idx = gen.integers(0, n_dim, size=num_draws)
-        sampled = rows[idx, :]
-        y = scale * (sampled.T @ sampled)
-        lam_r = float(np.linalg.eigvalsh(y)[0])
-        margin = lam_r - cutoff
-        worst = min(worst, margin)
-        if lam_r < cutoff:
-            violations += 1
+    for chunk in _chunks(1, trials + 1, num_draws * r):
+        idx = np.stack([gen.integers(0, n_dim, size=num_draws)
+                        for gen in _generators(state, chunk)])
+        sampled = rows[idx]
+        lam_r = np.linalg.eigvalsh(scale * (_mT(sampled) @ sampled))[:, 0]
+        worst, violations = _tally(lam_r - cutoff, 0.0, worst, violations)
     return CheckReport(
         name="matcher", trials=trials, violations=violations,
         worst_margin=_finite(worst),
@@ -597,7 +726,7 @@ def check_matcher(n_dim, r, L_bound, epsilon_chern, trials, rng, num_draws=200):
             "L": l_eff, "mu_r": mu_r, "epsilon_chern": eps,
             "vacuous": tail >= 1.0,
         },
-        denominator=trials, theoretical_bound=min(tail, 1.0) if tail < 1.0 else tail,
+        denominator=trials, theoretical_bound=tail,
         seed=state.seed,
     )
 

@@ -2,7 +2,7 @@ import threading
 
 import pytest
 
-from adaptive_mc import cli
+from adaptive_mc import cli, synthetic
 from adaptive_mc.linalg import coherence
 from adaptive_mc.lrebn import LrebnConfig, recovery_errors, run_lrebn
 from adaptive_mc.sampling import RngState
@@ -58,6 +58,21 @@ def test_generate_rejects_nan_epsilon(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: epsilon must be < 0.25")
     assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["0.3", "nan"])
+def test_generate_rejects_epsilon_before_building_L(
+        tmp_path, capsys, monkeypatch, value):
+    calls = []
+    monkeypatch.setattr(synthetic, "generate_low_rank",
+                        lambda *a, **kw: calls.append(a))
+    out = tmp_path / "x"
+    rc = cli.main(["generate", "--m", "40", "--n", "40", "--r", "2",
+                   "--epsilon", value, "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: epsilon must be < 0.25")
+    assert calls == []
     assert not out.exists()
 
 
@@ -319,7 +334,7 @@ def test_single_cell_sweep_matches_library(tmp_path):
                          RngState(4, cli._STREAM_SWEEP_INSTANCE, 0, 0))
     cfg = LrebnConfig(
         epsilon=0.01, delta=0.05, r=3, mu_upper=coherence(inst.true_basis),
-        seed=cli._derive_seed(4, cli._STREAM_SWEEP_RUN, 0, 0),
+        seed=RngState(4, cli._STREAM_SWEEP_RUN, 0, 0).derived_seed(),
     )
     result = run_lrebn(ObservationOracle(inst.M), cfg)
     assert int(row["observations"]) == result.observations

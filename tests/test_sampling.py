@@ -75,3 +75,13 @@ def test_uniformity_chi_square():
     )
     critical = stats.chi2.ppf(1 - 0.001, df=m - 1)
     assert statistic < critical
+
+
+@pytest.mark.parametrize("seed, key", [
+    (0, ()), (4, (101, 0, 0)), (7, (101, 3, 1)), (2**40 + 3, (101, 12, 9)),
+    (123456789, (100,)),
+])
+def test_derived_seed_is_the_seed_sequence_word(seed, key):
+    seq = np.random.SeedSequence(entropy=seed, spawn_key=key)
+    expected = int(seq.generate_state(1, dtype=np.uint64)[0])
+    assert RngState(seed, *key).derived_seed() == expected

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from adaptive_mc.linalg import (
+    OrthonormalBasis,
     RestrictedSolver,
     coherence,
     orthonormalize,
@@ -12,9 +13,16 @@ from adaptive_mc.linalg import (
     vector_vector_angle,
 )
 from adaptive_mc.lrebn import LrebnConfig, updated_budget
+from adaptive_mc import verify
 from adaptive_mc.verify import (
     CHECK_NAMES,
     CheckReport,
+    _coherences,
+    _frames,
+    _restricted_residuals,
+    _subspace_angles,
+    _vector_angles,
+    _vector_subspace_angles,
     check_blum,
     check_conc,
     check_ededler,
@@ -75,6 +83,125 @@ def test_all_names_runnable_small():
     for name in CHECK_NAMES:
         rep = run_check(name, trials=20, seed=1)
         assert rep.verdict in ("PASS", "N/A"), (name, rep)
+
+
+# Integer outcomes of every check at trials=500, seed=5, recorded from the
+# per-trial implementation the batched one replaced.
+PINNED_500_SEED_5 = {
+    "kcoh": dict(violations=0, denominator=500),
+    "noisycoh": dict(violations=0, denominator=500),
+    "ind": dict(violations=0, denominator=500),
+    "conc": dict(violations=0, denominator=500, fired=328),
+    "ks14": dict(violations=0, denominator=489, upper_applicable=489,
+                 lower_applicable=0, lower_violations=0, d_min=224,
+                 d_max=500),
+    "matcher": dict(violations=0, denominator=500),
+    "ededler": dict(violations=0, denominator=504, skipped_cells=8),
+    "blum": dict(violations=0, denominator=500, skipped=0),
+}
+
+
+def _outcome(rep):
+    got = {"violations": rep.violations, "denominator": rep.denominator}
+    got.update({key: rep.params[key] for key in PINNED_500_SEED_5[rep.name]
+                if key in rep.params})
+    return got
+
+
+def test_integer_outcomes_pinned():
+    for name in CHECK_NAMES:
+        rep = run_check(name, trials=500, seed=5)
+        assert _outcome(rep) == PINNED_500_SEED_5[name], name
+        assert rep.verdict == "PASS", name
+
+
+@pytest.mark.parametrize("chunk", [1, 7])
+def test_reports_do_not_depend_on_chunk_size(monkeypatch, chunk):
+    reference = {name: run_check(name, trials=40, seed=3)
+                 for name in CHECK_NAMES}
+    monkeypatch.setattr(verify, "_CHUNK_TRIALS", chunk)
+    for name in CHECK_NAMES:
+        rep = run_check(name, trials=40, seed=3)
+        ref = reference[name]
+        assert (rep.violations, rep.denominator) == (
+            ref.violations, ref.denominator), name
+        assert {k: v for k, v in rep.params.items() if k not in ("L", "mu_r")} \
+            == {k: v for k, v in ref.params.items() if k not in ("L", "mu_r")}
+        assert rep.worst_margin == pytest.approx(ref.worst_margin, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# batched helpers against the per-item linalg code
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("m, k", [(20, 5), (30, 3), (7, 7), (500, 4)])
+def test_qr_frames_match_orthonormalize(m, k):
+    raw = np.random.default_rng(m + k).standard_normal((6, m, k))
+    raw[3, :, 0] = e(2, m)
+    q, full = _frames(raw)
+    assert full.all()
+    for frame, one in zip(q, raw):
+        expected = orthonormalize(one).matrix
+        np.testing.assert_allclose(frame, expected, rtol=0, atol=1e-12)
+
+
+def test_frames_flag_dependent_columns_like_orthonormalize():
+    gen = np.random.default_rng(21)
+    raw = gen.standard_normal((5, 12, 4))
+    raw[1, :, 2] = raw[1, :, 0] - 2.0 * raw[1, :, 1]
+    raw[2, :, 3] = raw[2, :, 1]
+    raw[3, :, 0] = 0.0
+    _, full = _frames(raw)
+    expected = [orthonormalize(one).dim == 4 for one in raw]
+    assert full.tolist() == expected == [True, False, False, False, True]
+
+
+def test_restricted_residuals_match_solver():
+    gen = np.random.default_rng(22)
+    m, k = 40, 3
+    bases = [orthonormalize(gen.standard_normal((m, k))) for _ in range(4)]
+    # A basis holding the axis e_5 with row 5 left out: B_omega has a
+    # zero column and the fit is rank-deficient.
+    bases.append(orthonormalize(np.column_stack(
+        [e(5, m), gen.standard_normal(m), gen.standard_normal(m)])))
+    omegas = [np.sort(gen.choice(m, size=d, replace=False))
+              for d in (3, 10, 25, 40)]
+    omegas.append(np.setdiff1d(np.arange(m), [5]))
+    ys = gen.standard_normal((5, m))
+    mask = np.zeros((5, m), dtype=bool)
+    for i, omega in enumerate(omegas):
+        mask[i, omega] = True
+    got = _restricted_residuals(np.stack([b.matrix for b in bases]), ys, mask)
+    solvers = [RestrictedSolver(b, om) for b, om in zip(bases, omegas)]
+    assert solvers[-1].degenerate
+    expected = [s.fit(y[s.omega])[1] for s, y in zip(solvers, ys)]
+    np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
+
+
+def test_batched_angles_and_coherence_match_linalg():
+    gen = np.random.default_rng(23)
+    m, k = 25, 3
+    u = np.stack([orthonormalize(gen.standard_normal((m, k))).matrix
+                  for _ in range(4)])
+    # Small and large perturbations reach both sides of the arccos /
+    # arcsin switch.
+    v = np.stack([orthonormalize(u[i] + s * gen.standard_normal((m, k))).matrix
+                  for i, s in enumerate((1e-9, 1e-3, 0.5, 10.0))])
+    x = gen.standard_normal((4, m))
+    x[0] = u[0, :, 0] + 1e-9 * x[0]
+    wrap = [OrthonormalBasis(a) for a in u], [OrthonormalBasis(a) for a in v]
+    np.testing.assert_allclose(
+        _subspace_angles(u, v),
+        [subspace_subspace_angle(a, b) for a, b in zip(*wrap)], atol=1e-12)
+    np.testing.assert_allclose(
+        _vector_subspace_angles(x, u),
+        [vector_subspace_angle(a, b) for a, b in zip(x, wrap[0])], atol=1e-12)
+    np.testing.assert_allclose(
+        _vector_angles(x, u[:, :, 0]),
+        [vector_vector_angle(a, b) for a, b in zip(x, u[:, :, 0])],
+        atol=1e-12)
+    np.testing.assert_allclose(
+        _coherences(u), [coherence(a) for a in wrap[0]], rtol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -324,6 +451,12 @@ def test_ks14_per_trial_budget_clean():
     assert rep.violation_rate <= 2 * 0.05 + rep.slack
     assert rep.params["d_min"] >= 1
     assert rep.params["d_max"] <= 500
+
+
+@pytest.mark.parametrize("delta", [0.0, 1.0, 1.5, math.nan])
+def test_ks14_rejects_delta_outside_unit_interval(delta):
+    with pytest.raises(ValueError, match="delta"):
+        check_ks14(m=50, k=2, d=None, delta=delta, trials=3, rng=0)
 
 
 def test_ks14_lower_bound_reachable_at_scale():
