@@ -18,6 +18,13 @@ coherence / vector_coherence
 vector_vector_angle / vector_subspace_angle / subspace_subspace_angle
     acute angles between vectors and subspaces
 
+``project``, the coherences and the angles also take stacks: ``(..., m)``
+vectors and ``(..., m, k)`` arrays of orthonormal columns (not checked),
+broadcast against each other and against an ``OrthonormalBasis``.  A
+stack gives an array whose items equal the single calls' floats, up to
+rounding.  The completion run and the lemma suite both measure through
+them: one angle rule.
+
 All angles are returned in radians, in [0, pi/2].  Angles are computed
 from clamped norm ratios: arccos of the cosine ratio in general, switching
 to arcsin of the complementary (residual) ratio once the cosine exceeds
@@ -219,10 +226,12 @@ def project(basis, y):
     Computes ``B (B^T y)``.  Idempotent; the empty basis maps everything
     to the zero vector.
     """
-    y = _as_vector(y, basis.ambient_dim, "y")
-    if basis.dim == 0:
-        return np.zeros_like(y)
-    return basis.matrix @ (basis.matrix.T @ y)
+    b = _frame(basis)
+    y = np.asarray(y, dtype=float)
+    if y.shape[-1:] != b.shape[-2:-1]:
+        raise ValueError(f"vectors of shape {y.shape} do not match the "
+                         f"ambient dimension {b.shape[-2]}")
+    return (b @ (np.swapaxes(b, -1, -2) @ y[..., None]))[..., 0]
 
 
 class RestrictedSolver:
@@ -286,6 +295,36 @@ class RestrictedSolver:
         return self.basis.matrix @ coef
 
 
+def _frame(basis):
+    """The matrix, or ``(..., m, k)`` stack of matrices, behind ``basis``."""
+    if isinstance(basis, OrthonormalBasis):
+        return basis.matrix
+    b = np.asarray(basis, dtype=float)
+    if b.ndim < 2:
+        raise ValueError("basis must be an OrthonormalBasis or an "
+                         "(..., m, k) array")
+    return b
+
+
+def _norm(x):
+    """Norms of the vectors of a ``(..., m)`` stack, each through one BLAS
+    dot: the bits of ``np.linalg.norm`` on a single vector, which
+    ``np.linalg.norm(x, axis=-1)`` does not always reproduce."""
+    return np.sqrt((x[..., None, :] @ x[..., :, None])[..., 0, 0])
+
+
+def _nonzero_norm(x, what):
+    nrm = _norm(x)
+    if np.any(nrm == 0.0):
+        raise ValueError(f"{what} is undefined for the zero vector")
+    return nrm
+
+
+def _result(x):
+    """A float for a single item, the array for a stack."""
+    return float(x) if np.ndim(x) == 0 else x
+
+
 def coherence(basis):
     """Coherence of the subspace spanned by ``basis``.
 
@@ -295,48 +334,39 @@ def coherence(basis):
     value lies in [1, m / k]; 1 for perfectly spread subspaces, m / k
     when the subspace contains a coordinate axis.
     """
-    if basis.dim == 0:
+    b = _frame(basis)
+    m, k = b.shape[-2:]
+    if k == 0:
         raise ValueError("coherence is undefined for an empty basis")
-    row_sq = np.einsum("ij,ij->i", basis.matrix, basis.matrix)
-    return float(basis.ambient_dim / basis.dim * np.max(row_sq))
+    row_sq = np.einsum("...ij,...ij->...i", b, b)
+    return _result(m / k * np.max(row_sq, axis=-1))
 
 
 def vector_coherence(z):
     """Coherence of the 1-dimensional subspace spanned by ``z``:
     ``m * max_i z_i^2 / ||z||^2``."""
     z = np.asarray(z, dtype=float)
-    nrm2 = float(z @ z)
-    if nrm2 == 0.0:
-        raise ValueError("vector coherence is undefined for the zero vector")
-    return float(z.shape[0] * np.max(z * z) / nrm2)
-
-
-def _clamped_arccos(ratio):
-    return float(np.arccos(min(1.0, max(0.0, ratio))))
-
-
-def _clamped_arcsin(ratio):
-    return float(np.arcsin(min(1.0, max(0.0, ratio))))
+    nrm = _nonzero_norm(z, "vector coherence")
+    return coherence((z / nrm[..., None])[..., None])
 
 
 # Cosine value above which angles switch to the arcsin(residual) form.
 _SINE_SWITCH = 0.7
 
 
+def _angle(cos, sin):
+    """The angle from its cosine and sine ratios, each clamped to [0, 1]."""
+    return _result(np.where(cos > _SINE_SWITCH,
+                            np.arcsin(np.clip(sin, 0.0, 1.0)),
+                            np.arccos(np.clip(cos, 0.0, 1.0))))
+
+
 def vector_vector_angle(u, v):
-    """Acute angle between two nonzero vectors, in [0, pi/2]."""
-    u = np.asarray(u, dtype=float)
+    """Acute angle between two nonzero vectors, in [0, pi/2]: the angle
+    from ``u`` to the line through ``v``."""
     v = np.asarray(v, dtype=float)
-    nu = np.linalg.norm(u)
-    nv = np.linalg.norm(v)
-    if nu == 0.0 or nv == 0.0:
-        raise ValueError("angle is undefined for the zero vector")
-    cos_ratio = abs(float(u @ v)) / (nu * nv)
-    if cos_ratio > _SINE_SWITCH:
-        vhat = v / nv
-        residual = u / nu - (u / nu @ vhat) * vhat
-        return _clamped_arcsin(np.linalg.norm(residual))
-    return _clamped_arccos(cos_ratio)
+    nv = _nonzero_norm(v, "angle")
+    return vector_subspace_angle(u, (v / nv[..., None])[..., None])
 
 
 def vector_subspace_angle(u, basis):
@@ -346,17 +376,10 @@ def vector_subspace_angle(u, basis):
     the residual ratio ``||u - P u|| / ||u||`` instead.  The empty basis
     is orthogonal to everything, giving pi/2.
     """
-    u = _as_vector(u, basis.ambient_dim, "u")
-    nrm = np.linalg.norm(u)
-    if nrm == 0.0:
-        raise ValueError("angle is undefined for the zero vector")
-    if basis.dim == 0:
-        return float(np.pi / 2)
     p = project(basis, u)
-    cos_ratio = np.linalg.norm(p) / nrm
-    if cos_ratio > _SINE_SWITCH:
-        return _clamped_arcsin(np.linalg.norm(u - p) / nrm)
-    return _clamped_arccos(cos_ratio)
+    u = np.asarray(u, dtype=float)
+    nrm = _nonzero_norm(u, "angle")
+    return _angle(_norm(p) / nrm, _norm(u - p) / nrm)
 
 
 def subspace_subspace_angle(u_basis, v_basis):
@@ -369,16 +392,15 @@ def subspace_subspace_angle(u_basis, v_basis):
     asymmetric: if dim(U) > dim(V) some direction of U is orthogonal to V
     in the limit and the result is pi/2.
     """
-    if u_basis.ambient_dim != v_basis.ambient_dim:
+    u, v = _frame(u_basis), _frame(v_basis)
+    if u.shape[-2] != v.shape[-2]:
         raise ValueError("subspaces live in different ambient dimensions")
-    if u_basis.dim == 0 or v_basis.dim == 0:
+    if u.shape[-1] == 0 or v.shape[-1] == 0:
         raise ValueError("principal angle requires two nonempty subspaces")
-    if u_basis.dim > v_basis.dim:
-        return float(np.pi / 2)
-    cross = v_basis.matrix.T @ u_basis.matrix
-    sigma = np.linalg.svd(cross, compute_uv=False)
-    if sigma[-1] > _SINE_SWITCH:
-        residual = u_basis.matrix - v_basis.matrix @ cross
-        sines = np.linalg.svd(residual, compute_uv=False)
-        return _clamped_arcsin(sines[0])
-    return _clamped_arccos(sigma[-1])
+    if u.shape[-1] > v.shape[-1]:
+        batch = np.broadcast_shapes(u.shape[:-2], v.shape[:-2])
+        return _result(np.full(batch, np.pi / 2))
+    cross = np.swapaxes(v, -1, -2) @ u
+    cos = np.linalg.svd(cross, compute_uv=False)[..., -1]
+    sin = np.linalg.svd(u - v @ cross, compute_uv=False)[..., 0]
+    return _angle(cos, sin)

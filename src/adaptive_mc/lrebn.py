@@ -49,7 +49,7 @@ from .linalg import (
     vector_subspace_angle,
 )
 from .sampling import RngState, sample_uniform_subset
-from .synthetic import MAX_EPSILON
+from .synthetic import _check_epsilon
 
 __all__ = [
     "RESIDUAL_FLOOR",
@@ -126,11 +126,7 @@ class LrebnConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not 0.0 <= self.epsilon < MAX_EPSILON:
-            raise ValueError(
-                f"epsilon must satisfy 0 <= epsilon < {MAX_EPSILON}; "
-                f"got {self.epsilon}"
-            )
+        _check_epsilon(self.epsilon)
         if not 0.0 < self.delta < MAX_DELTA:
             raise ValueError(
                 f"delta must satisfy 0 < delta < {MAX_DELTA}; got {self.delta}"
@@ -217,11 +213,12 @@ class RecoveryResult:
 
 
 def _budget_formula(mu, r, delta, m, theta_tilde):
-    """Raw (real-valued, unclamped) budget."""
-    return (
+    """The budget formula, ceiled to an integer of at least 1 (not
+    clamped to m)."""
+    return max(1, math.ceil(
         72.0 * mu * r * math.log(1.0 / delta) ** 2
         + 8.0 * m * theta_tilde ** 2 * math.log(r / delta)
-    )
+    ))
 
 
 def updated_budget(cfg, m, theta_tilde):
@@ -240,7 +237,7 @@ def _budgets(cfg, mu, m, theta_tilde):
     in force after the optional clamp to m."""
     if not 0.0 <= theta_tilde <= math.pi / 2 + 1e-12:
         raise ValueError("theta_tilde must lie in [0, pi/2]")
-    d_formula = max(1, math.ceil(_budget_formula(mu, cfg.r, cfg.delta, m, theta_tilde)))
+    d_formula = _budget_formula(mu, cfg.r, cfg.delta, m, theta_tilde)
     return d_formula, (min(d_formula, int(m)) if cfg.budget_cap_to_m else d_formula)
 
 

@@ -14,6 +14,8 @@ check runs in two phases per chunk of trials.  A Python loop makes every
 trial's draws from that trial's own substream; the linear algebra then
 runs once over the stacked trials (QR frames, batched SVDs and
 eigenvalues).  The chunk size bounds memory and changes no result.
+Coherences, projections of vectors and angles come from ``linalg``,
+called on the stacks: the rules the completion run itself uses.
 """
 
 from __future__ import annotations
@@ -23,10 +25,19 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import _SINE_SWITCH, DEFAULT_RANK_TOL, LSTSQ_RCOND
+from .linalg import (
+    DEFAULT_RANK_TOL,
+    LSTSQ_RCOND,
+    coherence,
+    project,
+    subspace_subspace_angle,
+    vector_coherence,
+    vector_subspace_angle,
+    vector_vector_angle,
+)
 from .lrebn import _budget_formula, residual_threshold
 from .sampling import RngState, sample_uniform_subset
-from .synthetic import MAX_EPSILON
+from .synthetic import _check_epsilon
 
 __all__ = [
     "DET_TOL",
@@ -135,14 +146,10 @@ def _generators(state, chunk):
     return [state.substream(t).generator() for t in chunk]
 
 
-def _mT(a):
-    return np.swapaxes(a, -1, -2)
-
-
 def _reject(basis, x):
     """``x`` minus its projection onto the span of ``basis``, for stacks
     (or single frames) of matrices."""
-    return x - basis @ (_mT(basis) @ x)
+    return x - basis @ (np.swapaxes(basis, -1, -2) @ x)
 
 
 def _frames(raw):
@@ -198,45 +205,6 @@ def _rotated(base, w, angles):
     return base * np.cos(angles)[:, None, :] + w * np.sin(angles)[:, None, :]
 
 
-def _coherences(q):
-    """``coherence`` of each frame of a (t, m, k) stack."""
-    m, k = q.shape[1:]
-    return m / k * np.max(np.einsum("tij,tij->ti", q, q), axis=1)
-
-
-def _angles(cos, sin):
-    """Angles from clamped cosine and sine ratios, through arcsin where the
-    cosine exceeds ``_SINE_SWITCH`` (the rule of the linalg angles)."""
-    return np.where(cos > _SINE_SWITCH, np.arcsin(np.clip(sin, 0.0, 1.0)),
-                    np.arccos(np.clip(cos, 0.0, 1.0)))
-
-
-def _vector_angles(x, y):
-    """``vector_vector_angle`` of matching rows of two (t, m) stacks."""
-    x = x / np.linalg.norm(x, axis=1, keepdims=True)
-    y = y / np.linalg.norm(y, axis=1, keepdims=True)
-    dots = np.einsum("ti,ti->t", x, y)
-    return _angles(np.abs(dots), np.linalg.norm(x - dots[:, None] * y, axis=1))
-
-
-def _vector_subspace_angles(x, basis):
-    """``vector_subspace_angle`` of the rows of ``x`` (t, m) against a
-    (t, m, k) stack of frames; an empty frame (k = 0) gives pi/2."""
-    nrm = np.linalg.norm(x, axis=1)
-    p = (basis @ (_mT(basis) @ x[..., None]))[..., 0]
-    return _angles(np.linalg.norm(p, axis=1) / nrm,
-                   np.linalg.norm(x - p, axis=1) / nrm)
-
-
-def _subspace_angles(u, v):
-    """``subspace_subspace_angle`` of matching frames of two (t, m, k)
-    stacks."""
-    cross = _mT(v) @ u
-    cos = np.linalg.svd(cross, compute_uv=False)[:, -1]
-    sin = np.linalg.svd(u - v @ cross, compute_uv=False)[:, 0]
-    return _angles(cos, sin)
-
-
 def _restricted_residuals(basis, y, mask):
     """Sampled-row least-squares residual norms of a stack of problems:
     ``|| y_omega - B_omega pinv(B_omega) y_omega ||`` per entry, with
@@ -252,7 +220,12 @@ def _restricted_residuals(basis, y, mask):
         return np.linalg.norm(y, axis=1)
     u, s, _ = np.linalg.svd(basis * mask[:, :, None], full_matrices=False)
     u *= (s > LSTSQ_RCOND * s[:, :1])[:, None, :]
-    return np.linalg.norm(_reject(u, y[..., None])[..., 0], axis=1)
+    return np.linalg.norm(y - project(u, y), axis=1)
+
+
+def _check_unit_delta(delta):
+    if not 0.0 < delta < 1.0:
+        raise ValueError(f"delta must lie in (0, 1); got {delta}")
 
 
 def _tally(margins, tol, worst, violations):
@@ -288,7 +261,7 @@ def check_kcoh(m, r, k, trials, rng):
         u = _full_frames(raw, gens, lambda i, gen: gen.standard_normal((m, r)))
         sub = _full_frames(u @ coef, gens,
                            lambda i, gen: u[i] @ gen.standard_normal((r, k)))
-        margins = r * _coherences(u) - k * _coherences(sub)
+        margins = r * coherence(u) - k * coherence(sub)
         worst, violations = _tally(margins, DET_TOL, worst, violations)
     return CheckReport(
         name="kcoh", trials=trials, violations=violations,
@@ -302,8 +275,8 @@ def check_noisycoh(m, k, theta_max, trials, rng):
     """Coherence under perturbation:
     mu(S~) <= 2 mu(S) + 2 (m/k) theta(S~, S)^2, using the realized angle
     of each perturbed copy."""
-    if k > m // 2:
-        raise ValueError("need k <= m/2 to rotate into the complement")
+    if not 1 <= k <= m // 2:
+        raise ValueError("need 1 <= k <= m/2 to rotate into the complement")
     if not 0.0 < theta_max < math.pi / 2:
         raise ValueError("theta_max must lie in (0, pi/2)")
     state = _as_state(rng, "noisycoh")
@@ -320,9 +293,9 @@ def check_noisycoh(m, k, theta_max, trials, rng):
             angles[i] = gen.uniform(0.0, theta_max, size=k)
         u = _full_frames(raw_u, gens, lambda i, gen: gen.standard_normal((m, k)))
         tilted = _rotated(u, _complement_frames(u, raw_w, gens), angles)
-        theta = _subspace_angles(tilted, u)
-        margins = (2.0 * _coherences(u) + 2.0 * (m / k) * theta ** 2
-                   - _coherences(tilted))
+        theta = subspace_subspace_angle(tilted, u)
+        margins = (2.0 * coherence(u) + 2.0 * (m / k) * theta ** 2
+                   - coherence(tilted))
         worst, violations = _tally(margins, DET_TOL, worst, violations)
     return CheckReport(
         name="noisycoh", trials=trials, violations=violations,
@@ -343,8 +316,8 @@ def check_ind(k_max, epsilon, trials, rng=0):
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
-    if epsilon <= 0.0:
-        raise ValueError("epsilon must be positive")
+    if not 0.0 < epsilon < math.inf:
+        raise ValueError(f"epsilon must be positive and finite; got {epsilon}")
     state = _as_state(rng, "ind")
     ks = np.arange(1, k_max + 1, dtype=float)
     max_steps = (math.pi / 2.0) * np.sqrt(epsilon / ks)
@@ -381,6 +354,8 @@ def check_ededler(m_values, r_values, delta_values, theta_values=None):
     theta = 0 gives equality, which the tolerance admits.  Grid points
     breaking the side condition are skipped and counted.
     """
+    for delta in delta_values:
+        _check_unit_delta(delta)
     if theta_values is None:
         theta_values = np.linspace(0.0, math.pi / 2, 9)
     trials = 0
@@ -390,15 +365,12 @@ def check_ededler(m_values, r_values, delta_values, theta_values=None):
     for m in m_values:
         for r in r_values:
             for delta in delta_values:
-                if not 0.0 < delta < 1.0:
-                    raise ValueError("delta values must lie in (0, 1)")
                 if 9.0 * math.log(1.0 / delta) >= m:
                     skipped += 1
                     continue
                 ln_inv = math.log(1.0 / delta)
                 for theta in theta_values:
-                    d = max(1, math.ceil(
-                        _budget_formula(1.0, r, delta, m, theta)))
+                    d = _budget_formula(1.0, r, delta, m, theta)
                     margin = d / 4.0 - (
                         18.0 * r * ln_inv ** 2 + 18.0 * theta ** 2 * ln_inv ** 2
                     )
@@ -453,23 +425,22 @@ def check_blum(m, k, trials, rng):
         btilde = np.where(style[:, None] == 0, b + scale[:, None] * noise, noise)
         # Style 2: b's component orthogonal to U, plus noise, projected
         # back into the complement of U.
-        perp = _reject(u, b[..., None])[..., 0]
+        perp = b - project(u, b)
         perp_nrm = np.linalg.norm(perp, axis=1)
         keep = (style != 2) | (perp_nrm >= 1e-8)
         two = (style == 2) & keep
-        btilde[two] = _reject(
-            u[two], (perp[two] / perp_nrm[two, None] + 0.1 * noise[two])[..., None]
-        )[..., 0]
+        x = perp[two] / perp_nrm[two, None] + 0.1 * noise[two]
+        btilde[two] = x - project(u[two], x)
         nrm = np.linalg.norm(btilde, axis=1)
         keep &= nrm >= 1e-12
         u, b, btilde = u[keep], b[keep], btilde[keep] / nrm[keep, None]
-        theta_bu = _vector_subspace_angles(btilde, u)
+        theta_bu = vector_subspace_angle(btilde, u)
         v, v_full = _frames(np.concatenate([u, b[..., None]], axis=2))
         vt, vt_full = _frames(np.concatenate([u, btilde[..., None]], axis=2))
         ok = (theta_bu >= 1e-8) & v_full & vt_full
         skipped += len(chunk) - int(np.count_nonzero(ok))
-        lhs = _subspace_angles(v[ok], vt[ok])
-        rhs = (math.pi / 2.0) * _vector_angles(btilde[ok], b[ok]) / theta_bu[ok]
+        lhs = subspace_subspace_angle(v[ok], vt[ok])
+        rhs = (math.pi / 2.0) * vector_vector_angle(btilde[ok], b[ok]) / theta_bu[ok]
         worst, violations = _tally(rhs - lhs, DET_TOL, worst, violations)
     return CheckReport(
         name="blum", trials=trials, violations=violations,
@@ -497,18 +468,18 @@ def check_conc(m, k, d, epsilon, delta, trials, rng):
     ``d=None`` derives the budget from the sampling formula (mu = 1,
     rank k, theta = sqrt(k eps)) clamped to m.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if not 0.0 <= epsilon < MAX_EPSILON:
-        raise ValueError(f"epsilon must lie in [0, {MAX_EPSILON})")
+    if not 1 <= k <= m // 2 + 1:
+        raise ValueError("need 1 <= k and 2 (k - 1) <= m to rotate into "
+                         "the complement")
+    _check_epsilon(epsilon)
+    _check_unit_delta(delta)
     state = _as_state(rng, "conc")
     sqrt_keps = math.sqrt(k * epsilon)
     if d is None:
-        d = min(m, max(1, math.ceil(
-            _budget_formula(1.0, k, delta, m, sqrt_keps))))
-    d = int(d)
+        d = min(m, _budget_formula(1.0, k, delta, m, sqrt_keps))
     if not 1 <= d <= m:
         raise ValueError("need 1 <= d <= m")
+    d = int(d)
     spread = min(math.pi / 4, 1.5 * math.pi * math.sqrt((k - 1) * epsilon))
     fired = 0
     violations = 0
@@ -547,7 +518,7 @@ def check_conc(m, k, d, epsilon, delta, trials, rng):
                 raw_base, gens, lambda i, gen: gen.standard_normal((m, k - 1)))
             tilted = _rotated(base, _complement_frames(base, raw_w, gens),
                               angles)
-            theta = _subspace_angles(tilted, base)
+            theta = subspace_subspace_angle(tilted, base)
             inside /= np.linalg.norm(inside, axis=1, keepdims=True)
             outside = _complement_frames(base, outside, gens)[..., 0]
             clean = (np.cos(psi)[:, None] * (base @ inside[..., None])[..., 0]
@@ -557,7 +528,7 @@ def check_conc(m, k, d, epsilon, delta, trials, rng):
         residual = _restricted_residuals(tilted, column, mask)
         hit = residual > residual_threshold(d, m, k, epsilon, theta)
         fired += int(np.count_nonzero(hit))
-        angle = _vector_subspace_angles(column[hit], tilted[hit])
+        angle = vector_subspace_angle(column[hit], tilted[hit])
         margins = angle - (theta[hit] + sqrt_keps)
         worst, violations = _tally(margins, DET_TOL, worst, violations)
     return CheckReport(
@@ -592,8 +563,11 @@ def check_ks14(m, k, d, delta, trials, rng):
     is recorded in params.  ``d=None`` picks, per trial, the smallest d
     satisfying the stated preconditions and alpha < 1/2.
     """
-    if not 0.0 < delta < 1.0:
-        raise ValueError("delta must lie in (0, 1)")
+    if not 1 <= k <= m:
+        raise ValueError("need 1 <= k <= m")
+    if d is not None and not 1 <= d <= m:
+        raise ValueError("need 1 <= d <= m")
+    _check_unit_delta(delta)
     state = _as_state(rng, "ks14")
     ln_inv = math.log(1.0 / delta)
     ln_2k = math.log(2.0 * k / delta)
@@ -612,10 +586,10 @@ def check_ks14(m, k, d, delta, trials, rng):
             raw[i] = gen.standard_normal((m, k))
             y[i] = gen.standard_normal(m)
         basis = _full_frames(raw, gens, lambda i, gen: gen.standard_normal((m, k)))
-        resid_full = _reject(basis, y[..., None])[..., 0]
+        resid_full = y - project(basis, y)
         r2_full = np.einsum("ti,ti->t", resid_full, resid_full)
-        mu_sub = _coherences(basis)
-        mu_vec = m * np.max(resid_full * resid_full, axis=1) / r2_full
+        mu_sub = coherence(basis)
+        mu_vec = vector_coherence(resid_full)
 
         d_pre = np.maximum((8.0 / 3.0) * k * mu_sub * ln_2k,
                            4.0 * mu_vec * ln_inv)
@@ -693,6 +667,10 @@ def check_matcher(n_dim, r, L_bound, epsilon_chern, trials, rng, num_draws=200):
         raise ValueError("epsilon_chern must lie in [0, 1)")
     if not 1 <= r <= n_dim:
         raise ValueError("need 1 <= r <= n_dim")
+    if num_draws < 1:
+        raise ValueError("num_draws must be >= 1")
+    if L_bound is not None and not 0.0 < L_bound < math.inf:
+        raise ValueError(f"L_bound must be positive and finite; got {L_bound}")
     state = _as_state(rng, "matcher")
     gens = _generators(state, [0])
     rows = _full_frames(gens[0].standard_normal((n_dim, r))[None], gens,
@@ -716,7 +694,8 @@ def check_matcher(n_dim, r, L_bound, epsilon_chern, trials, rng, num_draws=200):
         idx = np.stack([gen.integers(0, n_dim, size=num_draws)
                         for gen in _generators(state, chunk)])
         sampled = rows[idx]
-        lam_r = np.linalg.eigvalsh(scale * (_mT(sampled) @ sampled))[:, 0]
+        lam_r = np.linalg.eigvalsh(
+            scale * (np.swapaxes(sampled, 1, 2) @ sampled))[:, 0]
         worst, violations = _tally(lam_r - cutoff, 0.0, worst, violations)
     return CheckReport(
         name="matcher", trials=trials, violations=violations,

@@ -370,6 +370,41 @@ def test_run_is_deterministic():
     assert r1.theta_trace == r2.theta_trace
 
 
+# Bits of three noisy runs: float.hex of theta_tilde and the budget d in
+# force at every budget event, and the final observation count.  The
+# first run sub-samples (d < m); the third has the clamp off and
+# estimates mu from the basis coherence at every refresh, so its budgets
+# carry both the angle and the coherence arithmetic.  Any change to the
+# order of the run's floating-point operations moves these values.
+PINNED_RUNS = [
+    ((1500, 120, 2, 0.01, 3), dict(delta=0.09, mu=1.0),
+     ["0x0.0p+0", "0x1.4afedae829562p-7", "0x1.1def28312d6d6p-5"],
+     [835, 839, 881], 106958),
+    ((200, 150, 4, 0.02, 4), dict(delta=0.05),
+     ["0x0.0p+0", "0x1.4e63fbd7e1f94p-6", "0x1.444c1ba280f0cp-4",
+      "0x1.b194538a9360ap-4", "0x1.4884e394ae279p-3"],
+     [200, 200, 200, 200, 200], 30000),
+    ((400, 120, 3, 0.005, 5),
+     dict(delta=0.09, mu=1.0, budget_cap_to_m=False, estimate_mu=True),
+     ["0x0.0p+0", "0x1.4953f910fe9c6p-8", "0x1.500f7b8b25003p-7",
+      "0x1.0b402ed8798d8p-6"],
+     [1253, 7651, 9426, 11033], 48000),
+]
+
+
+@pytest.mark.parametrize("shape, kw, thetas, budgets, observations",
+                         PINNED_RUNS)
+def test_run_angle_bits_pinned(shape, kw, thetas, budgets, observations):
+    m, n, r, epsilon, seed = shape
+    inst = make_instance(m, n, r, epsilon, seed=seed)
+    kw = {"mu": coherence(inst.true_basis), **kw}
+    result = run_lrebn(ObservationOracle(inst.M),
+                       cfg_for(epsilon=epsilon, r=r, seed=seed, **kw))
+    assert [float.hex(ev.theta_tilde) for ev in result.budget_trace] == thetas
+    assert [ev.d_budget for ev in result.budget_trace] == budgets
+    assert result.observations == observations
+
+
 def test_estimate_mu_mode_runs():
     inst = make_instance(60, 50, 3, 0.01, seed=13)
     cfg = cfg_for(epsilon=0.01, delta=0.05, r=3, mu=1.0, seed=13,

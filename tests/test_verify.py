@@ -9,20 +9,18 @@ from adaptive_mc.linalg import (
     coherence,
     orthonormalize,
     subspace_subspace_angle,
+    vector_coherence,
     vector_subspace_angle,
     vector_vector_angle,
 )
 from adaptive_mc.lrebn import LrebnConfig, updated_budget
 from adaptive_mc import verify
+from adaptive_mc.sampling import RngState
 from adaptive_mc.verify import (
     CHECK_NAMES,
     CheckReport,
-    _coherences,
     _frames,
     _restricted_residuals,
-    _subspace_angles,
-    _vector_angles,
-    _vector_subspace_angles,
     check_blum,
     check_conc,
     check_ededler,
@@ -69,6 +67,35 @@ def test_run_check_dispatch():
     assert rep.violations == 0
     with pytest.raises(ValueError, match="unknown check"):
         run_check("nope")
+
+
+# Out-of-range parameters fail with a ValueError naming them before any
+# generator is built.  Most of these cases used to crash inside a check,
+# run to a silent N/A, or pass on NaN arithmetic.
+@pytest.mark.parametrize("name, overrides, message", [
+    ("conc", dict(delta=0.0), "delta"),
+    ("conc", dict(delta=1.0), "delta"),
+    ("conc", dict(delta=1.5), "delta"),
+    ("conc", dict(delta=math.nan), "delta"),
+    ("conc", dict(m=3, k=3, d=2), r"2 \(k - 1\) <= m"),
+    ("conc", dict(d=math.nan), "1 <= d"),
+    ("ks14", dict(m=3, k=4), "k <= m"),
+    ("ks14", dict(k=0), "1 <= k"),
+    ("ks14", dict(d=0), "1 <= d"),
+    ("ind", dict(epsilon=math.nan), "epsilon"),
+    ("matcher", dict(num_draws=0), "num_draws"),
+    ("matcher", dict(L_bound=0.0), "L_bound"),
+    ("matcher", dict(L_bound=-1.0), "L_bound"),
+    ("noisycoh", dict(k=0), "1 <= k"),
+    ("ededler", dict(delta_values=(0.05, 1.0)), "delta"),
+])
+def test_out_of_range_parameters_rejected_before_any_draw(
+        monkeypatch, name, overrides, message):
+    def no_draws(self):
+        raise AssertionError("a check drew before validating")
+    monkeypatch.setattr(RngState, "generator", no_draws)
+    with pytest.raises(ValueError, match=message):
+        run_check(name, trials=20, seed=0, **overrides)
 
 
 def test_reports_are_reproducible():
@@ -179,6 +206,8 @@ def test_restricted_residuals_match_solver():
 
 
 def test_batched_angles_and_coherence_match_linalg():
+    # The checks call the linalg geometry on stacks of trials; a stacked
+    # call must equal the list of single calls on wrapped bases.
     gen = np.random.default_rng(23)
     m, k = 25, 3
     u = np.stack([orthonormalize(gen.standard_normal((m, k))).matrix
@@ -190,18 +219,33 @@ def test_batched_angles_and_coherence_match_linalg():
     x = gen.standard_normal((4, m))
     x[0] = u[0, :, 0] + 1e-9 * x[0]
     wrap = [OrthonormalBasis(a) for a in u], [OrthonormalBasis(a) for a in v]
+    assert subspace_subspace_angle(u, v).tolist() == [
+        subspace_subspace_angle(a, b) for a, b in zip(*wrap)]
+    assert coherence(u).tolist() == [coherence(a) for a in wrap[0]]
     np.testing.assert_allclose(
-        _subspace_angles(u, v),
-        [subspace_subspace_angle(a, b) for a, b in zip(*wrap)], atol=1e-12)
+        vector_subspace_angle(x, u),
+        [vector_subspace_angle(a, b) for a, b in zip(x, wrap[0])],
+        rtol=0, atol=1e-12)
     np.testing.assert_allclose(
-        _vector_subspace_angles(x, u),
-        [vector_subspace_angle(a, b) for a, b in zip(x, wrap[0])], atol=1e-12)
-    np.testing.assert_allclose(
-        _vector_angles(x, u[:, :, 0]),
+        vector_vector_angle(x, u[:, :, 0]),
         [vector_vector_angle(a, b) for a, b in zip(x, u[:, :, 0])],
-        atol=1e-12)
+        rtol=0, atol=1e-12)
     np.testing.assert_allclose(
-        _coherences(u), [coherence(a) for a in wrap[0]], rtol=1e-12)
+        vector_coherence(x), [vector_coherence(a) for a in x],
+        rtol=1e-12, atol=0)
+
+    # A zero vector anywhere in a stack raises.
+    x[2] = 0.0
+    for call in (lambda: vector_subspace_angle(x, u),
+                 lambda: vector_vector_angle(u[:, :, 0], x),
+                 lambda: vector_coherence(x)):
+        with pytest.raises(ValueError, match="zero vector"):
+            call()
+
+    # Empty frames are orthogonal to everything: conc's k = 1 trials.
+    x[2] = 1.0
+    assert vector_subspace_angle(x, np.zeros((4, m, 0))).tolist() == [
+        math.pi / 2] * 4
 
 
 # ---------------------------------------------------------------------------
