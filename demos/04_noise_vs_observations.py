@@ -42,7 +42,7 @@ for epsilon in (0.0, 0.005, 0.02, 0.05):
         coeff = gen.standard_normal((r, n))
         coeff /= np.linalg.norm(coeff, axis=0)
         L = basis.matrix @ coeff
-        inst = add_bounded_noise(L, epsilon, gen, true_basis=basis, r=r)
+        inst = add_bounded_noise(L, epsilon, gen, true_basis=basis)
         cfg = LrebnConfig(epsilon=epsilon, delta=delta, r=r,
                           mu_upper=coherence(basis), seed=trial)
         d_init = initial_budget(cfg, m)

@@ -128,11 +128,9 @@ def _build_config(args, epsilon, r, meta=None):
         delta=args.delta,
         r=r,
         mu_upper=mu,
-        budget_cap_to_m=not args.no_budget_cap,
-        angle_cap_enabled=not args.no_angle_cap,
         estimate_mu=args.estimate_mu,
-        omega_redraw=args.omega_redraw,
         seed=args.seed,
+        **_ablation_settings(args),
     )
 
 
@@ -189,11 +187,9 @@ def _sweep_cell(args, cell_index, m, n, r, epsilon, delta, trial):
     cfg = LrebnConfig(
         epsilon=epsilon, delta=delta, r=r,
         mu_upper=coherence(inst.true_basis),
-        budget_cap_to_m=not args.no_budget_cap,
-        angle_cap_enabled=not args.no_angle_cap,
-        omega_redraw=args.omega_redraw,
         seed=RngState(args.seed, _STREAM_SWEEP_RUN, cell_index,
                       trial).derived_seed(),
+        **_ablation_settings(args),
     )
     result = run_lrebn(ObservationOracle(inst.M), cfg)
     errors = recovery_errors(result, inst.L)
@@ -232,14 +228,9 @@ def cmd_sweep(args):
 def _report_row(report):
     params_json = json.dumps(report.params, sort_keys=True,
                              separators=(";", ":"))
-    return (
-        report.name, report.trials, report.violations,
-        report.violation_rate,
-        report.theoretical_bound if report.theoretical_bound is not None else None,
-        report.worst_margin, params_json,
-        report.seed if report.seed is not None else None,
-        report.verdict,
-    )
+    return (report.name, report.trials, report.violations,
+            report.violation_rate, report.theoretical_bound,
+            report.worst_margin, params_json, report.seed, report.verdict)
 
 
 def cmd_verify(args):
@@ -282,6 +273,13 @@ def _add_ablation_flags(p):
     p.add_argument("--omega-redraw", dest="omega_redraw",
                    choices=[REDRAW_ON_UPDATE, REDRAW_PER_COLUMN],
                    default=REDRAW_ON_UPDATE)
+
+
+def _ablation_settings(args):
+    """The ``LrebnConfig`` fields set by ``_add_ablation_flags``."""
+    return dict(budget_cap_to_m=not args.no_budget_cap,
+                angle_cap_enabled=not args.no_angle_cap,
+                omega_redraw=args.omega_redraw)
 
 
 def _add_algorithm_flags(p):

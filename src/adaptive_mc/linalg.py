@@ -4,9 +4,9 @@ Dense linear-algebra primitives used throughout the package.
 This module contains the small set of operations the completion algorithm
 and the verification suite are built from:
 
-orthonormalize / extend_basis
-    build an orthonormal basis from a list of vectors, or append one
-    vector's new direction to a basis (one double Gram-Schmidt step)
+extend_basis / orthonormalize
+    append one vector's new direction to a basis (one double Gram-Schmidt
+    step); fold that over a list of vectors to build a basis
 project
     orthogonal projection of a vector onto a subspace
 RestrictedSolver
@@ -140,31 +140,52 @@ def _as_vector(y, expected_len, name="vector"):
     return y
 
 
-def orthonormalize(vectors, rank_tol=DEFAULT_RANK_TOL):
+def extend_basis(basis, v):
+    """Append the direction ``v`` adds to ``basis``.
+
+    The residual of ``v`` is projected off the existing columns twice (one
+    pass loses orthogonality in double precision once a couple dozen
+    directions accumulate); the existing columns are kept unchanged.
+
+    Returns
+    -------
+    OrthonormalBasis
+        ``basis`` itself when the residual of ``v`` has norm at most
+        ``DEFAULT_RANK_TOL`` (no new dimension); otherwise a basis with
+        one more column, the normalized residual.
+    """
+    w = _as_vector(v, basis.ambient_dim).copy()
+    # Contiguous copies of the columns: a strided dot product can round
+    # differently, and the bits pinned in the tests were made this way.
+    columns = list(basis.matrix.T.copy())
+    for _ in range(2):
+        for u in columns:
+            w -= (u @ w) * u
+    nrm = np.linalg.norm(w)
+    if nrm > DEFAULT_RANK_TOL:
+        return OrthonormalBasis(np.column_stack(columns + [w / nrm]))
+    return basis
+
+
+def orthonormalize(vectors):
     """Orthonormal basis for the span of the given vectors.
 
-    Vectors are processed in order with Gram-Schmidt projection applied
-    twice per vector (a single pass loses orthogonality in double
-    precision once a couple dozen directions accumulate).  A vector whose
-    residual after projection onto the previously accepted directions has
-    norm at most ``rank_tol`` is dropped: it adds no dimension.
+    Folds ``extend_basis`` over the vectors in order, starting from the
+    trivial subspace, so a vector that adds no dimension is dropped and
+    extending a basis one vector at a time gives this basis bit for bit.
 
     Parameters
     ----------
     vectors : sequence of 1-D arrays, or a 2-D array whose columns are the
         vectors.
-    rank_tol : float
-        Absolute residual-norm cutoff below which a vector is dropped.
 
     Returns
     -------
     OrthonormalBasis
         Basis whose span equals the span of the inputs.
     """
-    if rank_tol <= 0:
-        raise ValueError("rank_tol must be positive")
     if isinstance(vectors, np.ndarray) and vectors.ndim == 2:
-        vecs = [vectors[:, j] for j in range(vectors.shape[1])]
+        vecs = list(vectors.T)
     else:
         vecs = [np.asarray(v, dtype=float) for v in vectors]
     if not vecs:
@@ -172,52 +193,12 @@ def orthonormalize(vectors, rank_tol=DEFAULT_RANK_TOL):
             "need at least one vector; use OrthonormalBasis.empty for the "
             "trivial subspace"
         )
-    m = vecs[0].shape[0] if vecs[0].ndim == 1 else -1
-    accepted = []
+    if vecs[0].ndim != 1:
+        raise ValueError("vector must be 1-dimensional")
+    basis = OrthonormalBasis.empty(vecs[0].shape[0])
     for v in vecs:
-        u = _gram_schmidt_step(accepted, _as_vector(v, m, "input vector"),
-                               rank_tol)
-        if u is not None:
-            accepted.append(u)
-    if not accepted:
-        return OrthonormalBasis.empty(m)
-    return OrthonormalBasis(np.column_stack(accepted))
-
-
-def extend_basis(basis, v):
-    """Append the direction ``v`` adds to ``basis``.
-
-    Runs the same double Gram-Schmidt step as ``orthonormalize``, so
-    extending a basis one vector at a time gives bit-for-bit the basis
-    ``orthonormalize`` builds from the whole list at the default
-    ``rank_tol``, and the existing columns are kept unchanged.
-
-    Returns
-    -------
-    OrthonormalBasis
-        ``basis`` itself when the residual of ``v`` has norm at most
-        ``DEFAULT_RANK_TOL`` (no new dimension); otherwise a basis with
-        one more column.
-    """
-    v = _as_vector(v, basis.ambient_dim, "v")
-    # Contiguous copies of the columns: the dot products must run on the
-    # same memory layout as in orthonormalize to give the same bits.
-    columns = list(basis.matrix.T.copy())
-    u = _gram_schmidt_step(columns, v, DEFAULT_RANK_TOL)
-    if u is None:
-        return basis
-    return OrthonormalBasis(np.column_stack(columns + [u]))
-
-
-def _gram_schmidt_step(columns, v, rank_tol):
-    """Unit residual of ``v`` after projecting out the orthonormal
-    ``columns`` twice, or None when its norm is at most ``rank_tol``."""
-    w = v.copy()
-    for _ in range(2):
-        for u in columns:
-            w -= (u @ w) * u
-    nrm = np.linalg.norm(w)
-    return w / nrm if nrm > rank_tol else None
+        basis = extend_basis(basis, v)
+    return basis
 
 
 def project(basis, y):

@@ -131,7 +131,7 @@ class LrebnConfig:
             raise ValueError(
                 f"delta must satisfy 0 < delta < {MAX_DELTA}; got {self.delta}"
             )
-        if self.r < 1:
+        if not (isinstance(self.r, (int, np.integer)) and self.r >= 1):
             raise ValueError("r must be a positive integer")
         if self.r >= 2 and self.delta > self.r ** (-0.125):
             raise ValueError(
@@ -360,7 +360,6 @@ def run_lrebn(oracle, cfg):
     basis = OrthonormalBasis.empty(m)
     k = 0
     theta = 0.0
-    bound_violations = 0
     event, solver = _refresh(cfg, basis, theta, omega_rng)
     d_budget = event.d_budget
 
@@ -387,8 +386,6 @@ def run_lrebn(oracle, cfg):
             theta_new_col = vector_subspace_angle(y_full, basis)
             basis = new_basis
             k = basis.dim
-            if k > cfg.r:
-                bound_violations += 1
             theta = angle_increment(theta, theta_new_col, cfg, k)
             event, solver = _refresh(cfg, basis, theta, omega_rng)
             d_budget = event.d_budget
@@ -405,7 +402,7 @@ def run_lrebn(oracle, cfg):
         M_tilde=M_tilde,
         observations=oracle.entry_count,
         budget_trace=budget_trace,
-        bound_violations=bound_violations,
+        bound_violations=max(0, k - cfg.r),  # one per update past r
         column_records=records,
     )
 

@@ -51,17 +51,16 @@ class RngState:
 
 
 def as_generator(rng):
-    """Coerce an RngState, integer seed, or Generator into a Generator.
+    """Coerce an RngState or a Generator into a Generator.
 
-    RngState and integer inputs produce a generator at the start of the
-    stream; a Generator passes through and keeps its state.
+    An RngState gives a fresh generator at the start of its stream; a
+    Generator passes through and keeps its state.  Integer seeds are
+    refused: callers wrap them in an RngState.
     """
     if isinstance(rng, np.random.Generator):
         return rng
     if isinstance(rng, RngState):
         return rng.generator()
-    if isinstance(rng, (int, np.integer)):
-        return RngState(rng).generator()
     raise TypeError(f"cannot build a generator from {type(rng).__name__}")
 
 
@@ -79,7 +78,9 @@ def sample_uniform_subset(m, d, rng):
     d : int
         Subset size; requires 1 <= d <= m.  Callers clamp their budgets
         before reaching this layer.
-    rng : RngState, int, or numpy Generator
+    rng : RngState or numpy Generator
+        Drawn from as ``as_generator`` says: an RngState from the start of
+        its stream, a Generator from its current state.
 
     Returns
     -------

@@ -3,10 +3,11 @@ Synthetic problem instances and the observation oracle.
 
 An instance is a hidden matrix ``M = L + zeta`` where ``L`` has rank r and
 unit-norm columns and every noise column satisfies ``||zeta_col||_2 <=
-epsilon`` with ``epsilon < 1/4``.  The algorithm never touches ``M``
-directly; it reads entries through an ``ObservationOracle`` that counts
-each revealed entry exactly once, which is what makes observation-count
-claims measurable.
+epsilon`` with ``0 <= epsilon < 1/4``.  The rank r is the dimension of
+the instance's true basis, which ``add_bounded_noise`` requires.  The
+algorithm never touches ``M`` directly; it reads entries through an
+``ObservationOracle`` that counts each revealed entry exactly once, which
+is what makes observation-count claims measurable.
 
 Also provides the plain-text matrix file format and instance bundles
 (directories holding ``L.mat``, ``M.mat`` and a ``meta`` key=value file).
@@ -41,7 +42,6 @@ MAX_EPSILON = 0.25
 
 # Stream labels for instance construction.
 _STREAM_BASIS = 1
-_STREAM_COEFF = 2
 _STREAM_NOISE = 3
 
 
@@ -60,7 +60,6 @@ class ProblemInstance:
     true_basis : OrthonormalBasis
         Orthonormal basis of the column space of ``L``.
     epsilon : float
-    r : int
     """
 
     L: np.ndarray
@@ -68,11 +67,15 @@ class ProblemInstance:
     M: np.ndarray
     true_basis: OrthonormalBasis
     epsilon: float
-    r: int
 
     @property
     def shape(self):
         return self.L.shape
+
+    @property
+    def r(self):
+        """The rank: the dimension of ``true_basis``."""
+        return self.true_basis.dim
 
 
 class ObservationOracle:
@@ -108,11 +111,6 @@ class ObservationOracle:
     def entry_count(self):
         """Number of distinct entries revealed so far."""
         return self._count
-
-    @property
-    def column_full_flags(self):
-        """Boolean per column: has every entry of it been revealed."""
-        return self._revealed.all(axis=0).copy()
 
     def _check_col(self, j):
         if not 0 <= j < self._hidden.shape[1]:
@@ -237,32 +235,35 @@ def _check_epsilon(epsilon):
     epsilon = float(epsilon)
     if not 0.0 <= epsilon < MAX_EPSILON:
         raise ValueError(
-            f"epsilon must be < {MAX_EPSILON} (bounded-noise model "
-            f"precondition); got {epsilon}"
+            f"epsilon must be < {MAX_EPSILON} and non-negative (bounded-noise "
+            f"model precondition); got {epsilon}"
         )
     return epsilon
 
 
-def add_bounded_noise(L, epsilon, rng, mode="sphere", true_basis=None, r=None):
+def add_bounded_noise(L, epsilon, rng, true_basis, mode="sphere"):
     """Wrap a unit-column low-rank matrix into a noisy ProblemInstance.
 
     Parameters
     ----------
     epsilon : float
         Per-column noise bound; the model requires ``0 <= epsilon < 1/4``.
+    true_basis : OrthonormalBasis
+        Basis of the column space of ``L``; its dimension is the rank r,
+        which must lie in ``[1, min(m, n)]``.
     mode : {"sphere", "scaled-gaussian"}
         "sphere" puts every noise column exactly on the radius-epsilon
         sphere (the worst case).  "scaled-gaussian" rescales a Gaussian
         column to a uniform-random radius in [0, epsilon].
-    true_basis, r : optional
-        Column-space basis and rank of ``L``.  Derived from an SVD when
-        not supplied.
     """
     L = np.asarray(L, dtype=float)
     epsilon = _check_epsilon(epsilon)
     if mode not in ("sphere", "scaled-gaussian"):
         raise ValueError(f"unknown noise mode {mode!r}")
     m, n = L.shape
+    if true_basis.ambient_dim != m or not 1 <= true_basis.dim <= min(m, n):
+        raise ValueError(f"true basis has shape {true_basis.matrix.shape}; "
+                         f"expected ({m}, r) with 1 <= r <= {min(m, n)}")
     gen = as_generator(rng)
 
     if epsilon == 0.0:
@@ -280,19 +281,8 @@ def add_bounded_noise(L, epsilon, rng, mode="sphere", true_basis=None, r=None):
             radii = gen.uniform(0.0, epsilon, size=n)
             zeta *= radii / norms
 
-    if r is None or true_basis is None:
-        u, sv, _ = np.linalg.svd(L, full_matrices=False)
-        if r is None:
-            r = int(np.sum(sv > 1e-9))
-    r = int(r)
-    if not 1 <= r <= min(m, n):
-        raise ValueError("rank r must satisfy 1 <= r <= min(m, n)")
-    if true_basis is None:
-        true_basis = OrthonormalBasis(u[:, :r])
-
     inst = ProblemInstance(
-        L=L, zeta=zeta, M=L + zeta, true_basis=true_basis,
-        epsilon=epsilon, r=r,
+        L=L, zeta=zeta, M=L + zeta, true_basis=true_basis, epsilon=epsilon,
     )
     _check_instance(inst)
     return inst
@@ -331,9 +321,9 @@ def _check_instance(inst):
     if np.max(noise_norms) > inst.epsilon + 1e-12:
         raise AssertionError("noise column exceeds the epsilon bound")
     B = inst.true_basis.matrix
-    if not 1 <= r <= min(m, n) or B.shape != (m, r):
-        raise AssertionError(
-            f"true basis has shape {B.shape}; expected ({m}, {r})")
+    if B.shape[0] != m or not 1 <= r <= min(m, n):
+        raise AssertionError(f"true basis has shape {B.shape}; expected "
+                             f"({m}, r) with 1 <= r <= {min(m, n)}")
     C = B.T @ L
     # One m x n temporary for the rank part: E = B C - L, whose norm
     # equals ||L - B C||.
@@ -365,10 +355,8 @@ def make_instance(m, n, r, epsilon, seed, coherence_mode="incoherent",
         coherence_mode=coherence_mode,
         spike_index=spike_index, spike_weight=spike_weight,
     )
-    return add_bounded_noise(
-        L, epsilon, root.substream(_STREAM_NOISE), mode=noise_mode,
-        true_basis=basis, r=r,
-    )
+    return add_bounded_noise(L, epsilon, root.substream(_STREAM_NOISE), basis,
+                             mode=noise_mode)
 
 
 # ---------------------------------------------------------------------------

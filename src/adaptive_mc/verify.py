@@ -110,8 +110,12 @@ class CheckReport:
         return "PASS" if ok else "FAIL"
 
 
-def _as_state(rng, name):
-    """Per-check root stream from an int seed or RngState."""
+def _as_state(rng, name, trials):
+    """Per-check root stream from an int seed or RngState.  Every
+    trial-driven check calls this before its first draw, so it also
+    validates ``trials``."""
+    if not (isinstance(trials, (int, np.integer)) and trials >= 1):
+        raise ValueError(f"trials must be a positive integer; got {trials}")
     stream = _CHECKS[name][0]
     if isinstance(rng, RngState):
         return rng.substream(stream)
@@ -245,7 +249,7 @@ def check_kcoh(m, r, k, trials, rng):
     axis into U to probe the maximally coherent corner."""
     if not 1 <= k <= r <= m:
         raise ValueError("need 1 <= k <= r <= m")
-    state = _as_state(rng, "kcoh")
+    state = _as_state(rng, "kcoh", trials)
     violations = 0
     worst = math.inf
     for chunk in _chunks(0, trials, m * r):
@@ -279,7 +283,7 @@ def check_noisycoh(m, k, theta_max, trials, rng):
         raise ValueError("need 1 <= k <= m/2 to rotate into the complement")
     if not 0.0 < theta_max < math.pi / 2:
         raise ValueError("theta_max must lie in (0, pi/2)")
-    state = _as_state(rng, "noisycoh")
+    state = _as_state(rng, "noisycoh", trials)
     violations = 0
     worst = math.inf
     for chunk in _chunks(0, trials, m * k):
@@ -318,7 +322,7 @@ def check_ind(k_max, epsilon, trials, rng=0):
         raise ValueError("k_max must be >= 1")
     if not 0.0 < epsilon < math.inf:
         raise ValueError(f"epsilon must be positive and finite; got {epsilon}")
-    state = _as_state(rng, "ind")
+    state = _as_state(rng, "ind", trials)
     ks = np.arange(1, k_max + 1, dtype=float)
     max_steps = (math.pi / 2.0) * np.sqrt(epsilon / ks)
     caps = 1.5 * math.pi * np.sqrt(ks * epsilon)
@@ -402,7 +406,7 @@ def check_blum(m, k, trials, rng):
     U.  Trials where b~ (or b) falls into U are skipped and counted."""
     if not 2 <= k <= m:
         raise ValueError("need 2 <= k <= m")
-    state = _as_state(rng, "blum")
+    state = _as_state(rng, "blum", trials)
     violations = 0
     skipped = 0
     worst = math.inf
@@ -473,7 +477,7 @@ def check_conc(m, k, d, epsilon, delta, trials, rng):
                          "the complement")
     _check_epsilon(epsilon)
     _check_unit_delta(delta)
-    state = _as_state(rng, "conc")
+    state = _as_state(rng, "conc", trials)
     sqrt_keps = math.sqrt(k * epsilon)
     if d is None:
         d = min(m, _budget_formula(1.0, k, delta, m, sqrt_keps))
@@ -568,7 +572,7 @@ def check_ks14(m, k, d, delta, trials, rng):
     if d is not None and not 1 <= d <= m:
         raise ValueError("need 1 <= d <= m")
     _check_unit_delta(delta)
-    state = _as_state(rng, "ks14")
+    state = _as_state(rng, "ks14", trials)
     ln_inv = math.log(1.0 / delta)
     ln_2k = math.log(2.0 * k / delta)
     beta = (1.0 + 2.0 * ln_inv) ** 2
@@ -671,7 +675,7 @@ def check_matcher(n_dim, r, L_bound, epsilon_chern, trials, rng, num_draws=200):
         raise ValueError("num_draws must be >= 1")
     if L_bound is not None and not 0.0 < L_bound < math.inf:
         raise ValueError(f"L_bound must be positive and finite; got {L_bound}")
-    state = _as_state(rng, "matcher")
+    state = _as_state(rng, "matcher", trials)
     gens = _generators(state, [0])
     rows = _full_frames(gens[0].standard_normal((n_dim, r))[None], gens,
                         lambda i, gen: gen.standard_normal((n_dim, r)))[0]

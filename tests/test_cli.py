@@ -50,6 +50,17 @@ def test_generate_rejects_model_epsilon(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_generate_rejects_negative_epsilon(tmp_path, capsys):
+    out = tmp_path / "x"
+    rc = cli.main(["generate", "--m", "10", "--n", "10", "--r", "2",
+                   "--epsilon", "-0.01", "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err == ("error: epsilon must be < 0.25 and non-negative "
+                   "(bounded-noise model precondition); got -0.01\n")
+    assert not out.exists()
+
+
 def test_generate_rejects_nan_epsilon(tmp_path, capsys):
     out = tmp_path / "x"
     rc = cli.main(["generate", "--m", "10", "--n", "10", "--r", "2",

@@ -31,7 +31,9 @@ def cfg_for(epsilon=0.0, delta=0.05, r=4, mu=1.0, **kw):
 def test_config_rejects_out_of_model_epsilon():
     with pytest.raises(ValueError, match="epsilon"):
         cfg_for(epsilon=0.25)
-    with pytest.raises(ValueError, match="epsilon"):
+    with pytest.raises(ValueError, match=r"epsilon must be < 0.25 and "
+                       r"non-negative \(bounded-noise model precondition\); "
+                       r"got -0.01"):
         cfg_for(epsilon=-0.01)
 
 
@@ -47,6 +49,8 @@ def test_config_rejects_small_mu_and_bad_rank():
         cfg_for(mu=0.5)
     with pytest.raises(ValueError, match="r must be"):
         cfg_for(r=0)
+    with pytest.raises(ValueError, match="r must be"):
+        cfg_for(r=2.5)
 
 
 @pytest.mark.parametrize("mu", [math.nan, math.inf])
@@ -357,6 +361,16 @@ def test_k_final_is_read_from_budget_trace():
     assert result.k_final == result.budget_trace[-1].k == 3
     with pytest.raises(AttributeError):
         result.k_final = 0
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_bound_violations_count_dimensions_above_r(seed):
+    # Rank-4 data run with r = 1: every update past the first breaks the
+    # dimension bound.
+    inst = make_instance(80, 60, 4, 0.05, seed)
+    result = run_lrebn(ObservationOracle(inst.M),
+                       cfg_for(epsilon=0.05, r=1, seed=seed))
+    assert result.bound_violations == result.k_final - 1 > 0
 
 
 def test_run_is_deterministic():

@@ -39,14 +39,15 @@ def test_invalid_sizes_rejected():
         sample_uniform_subset(0, 1, RngState(0))
 
 
-def test_as_generator_accepts_int_state_and_generator():
-    g1 = as_generator(5)
-    g2 = as_generator(RngState(5))
-    assert g1.integers(1 << 30) == g2.integers(1 << 30)
-    g3 = np.random.default_rng(0)
-    assert as_generator(g3) is g3
+def test_as_generator_accepts_state_and_generator():
+    g1 = as_generator(RngState(5))
+    assert g1.integers(1 << 30) == RngState(5).generator().integers(1 << 30)
+    g2 = np.random.default_rng(0)
+    assert as_generator(g2) is g2
     with pytest.raises(TypeError):
         as_generator("seed")
+    with pytest.raises(TypeError):
+        as_generator(5)
 
 
 def test_inclusion_frequencies():

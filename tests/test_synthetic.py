@@ -73,7 +73,7 @@ def test_bad_rank_rejected():
 
 def test_zero_noise_is_exact():
     L, basis = generate_low_rank(20, 25, 3, RngState(5))
-    inst = add_bounded_noise(L, 0.0, RngState(6), true_basis=basis, r=3)
+    inst = add_bounded_noise(L, 0.0, RngState(6), true_basis=basis)
     np.testing.assert_array_equal(inst.M, inst.L)
     np.testing.assert_array_equal(inst.zeta, 0.0)
 
@@ -81,7 +81,7 @@ def test_zero_noise_is_exact():
 def test_sphere_noise_has_exact_radius():
     L, basis = generate_low_rank(20, 25, 3, RngState(7))
     inst = add_bounded_noise(L, 0.05, RngState(8), mode="sphere",
-                             true_basis=basis, r=3)
+                             true_basis=basis)
     np.testing.assert_allclose(np.linalg.norm(inst.zeta, axis=0), 0.05,
                                atol=1e-12)
 
@@ -89,7 +89,7 @@ def test_sphere_noise_has_exact_radius():
 def test_scaled_gaussian_noise_within_radius():
     L, basis = generate_low_rank(20, 25, 3, RngState(9))
     inst = add_bounded_noise(L, 0.05, RngState(10), mode="scaled-gaussian",
-                             true_basis=basis, r=3)
+                             true_basis=basis)
     norms = np.linalg.norm(inst.zeta, axis=0)
     assert np.all(norms <= 0.05 + 1e-12)
     # Radii vary rather than sitting on the sphere.
@@ -97,18 +97,35 @@ def test_scaled_gaussian_noise_within_radius():
 
 
 def test_epsilon_bound_enforced():
-    L, _ = generate_low_rank(10, 10, 2, RngState(11))
+    L, basis = generate_low_rank(10, 10, 2, RngState(11))
     with pytest.raises(ValueError, match="epsilon must be < 0.25"):
-        add_bounded_noise(L, 0.3, RngState(0))
+        add_bounded_noise(L, 0.3, RngState(0), basis)
     with pytest.raises(ValueError, match="epsilon must be < 0.25"):
-        add_bounded_noise(L, 0.25, RngState(0))
+        add_bounded_noise(L, 0.25, RngState(0), basis)
 
 
-def test_basis_derived_from_svd_when_not_given():
-    L, basis = generate_low_rank(20, 25, 3, RngState(12))
-    inst = add_bounded_noise(L, 0.01, RngState(13))
-    assert inst.r == 3
-    assert subspace_subspace_angle(inst.true_basis, basis) < 1e-8
+@pytest.mark.parametrize("epsilon, basis_matrix, message", [
+    (-0.01, None, r"epsilon must be < 0.25 and non-negative .*got -0.01"),
+    (0.01, np.eye(12)[:, :2], r"expected \(10, r\)"),
+    (0.01, np.zeros((10, 0)), r"1 <= r <= 6"),
+    (0.01, np.eye(10)[:, :7], r"1 <= r <= 6"),
+])
+def test_add_bounded_noise_rejects_bad_input_before_any_draw(
+        monkeypatch, epsilon, basis_matrix, message):
+    L, basis = generate_low_rank(10, 6, 2, RngState(11))
+    if basis_matrix is not None:
+        basis = OrthonormalBasis(basis_matrix)
+
+    def no_draws(self):
+        raise AssertionError("noise was drawn before validation")
+    monkeypatch.setattr(RngState, "generator", no_draws)
+    with pytest.raises(ValueError, match=message):
+        add_bounded_noise(L, epsilon, RngState(0), basis)
+
+
+def test_instance_rank_is_the_basis_dimension():
+    inst = make_instance(20, 25, 3, 0.01, seed=12)
+    assert inst.r == inst.true_basis.dim == 3
 
 
 def test_noise_perturbs_singular_subspace_mildly():
@@ -151,11 +168,11 @@ def _low_rank(gen, m, n, r):
     return _unit_columns(basis @ gen.standard_normal((r, n))), basis
 
 
-def _instance(L, basis, r, zeta=None, epsilon=0.0):
+def _instance(L, basis, zeta=None, epsilon=0.0):
     zeta = np.zeros_like(L) if zeta is None else zeta
     return ProblemInstance(L=L, zeta=zeta, M=L + zeta,
                            true_basis=OrthonormalBasis(basis, check=False),
-                           epsilon=epsilon, r=r)
+                           epsilon=epsilon)
 
 
 def _svd_rule_rejects(inst):
@@ -182,7 +199,7 @@ def test_check_rejects_non_unit_column():
     L, basis = _low_rank(np.random.default_rng(1), 30, 40, 4)
     L[:, 7] *= 1.0 + 1e-9
     with pytest.raises(AssertionError, match="unit norm"):
-        _check_instance(_instance(L, basis, 4))
+        _check_instance(_instance(L, basis))
 
 
 def test_check_rejects_noise_above_epsilon():
@@ -191,7 +208,7 @@ def test_check_rejects_noise_above_epsilon():
     zeta = 0.05 * _unit_columns(gen.standard_normal((30, 40)))
     zeta[:, 3] *= 1.0 + 1e-6
     with pytest.raises(AssertionError, match="epsilon bound"):
-        _check_instance(_instance(L, basis, 4, zeta=zeta, epsilon=0.05))
+        _check_instance(_instance(L, basis, zeta=zeta, epsilon=0.05))
 
 
 def test_check_rejects_hidden_extra_direction():
@@ -203,7 +220,7 @@ def test_check_rejects_hidden_extra_direction():
     sv = np.linalg.svd(L, compute_uv=False)
     assert sv[r] > 1e-9
     with pytest.raises(AssertionError, match="rank above r"):
-        _check_instance(_instance(L, basis, r))
+        _check_instance(_instance(L, basis))
 
 
 def test_check_rejects_weak_rth_direction():
@@ -215,7 +232,7 @@ def test_check_rejects_weak_rth_direction():
     L = _unit_columns(basis @ coeff)
     assert np.linalg.svd(L, compute_uv=False)[r - 1] < 1e-6
     with pytest.raises(AssertionError, match="does not expose rank r"):
-        _check_instance(_instance(L, basis, r))
+        _check_instance(_instance(L, basis))
 
 
 def test_check_rejects_basis_that_does_not_span_L():
@@ -223,13 +240,13 @@ def test_check_rejects_basis_that_does_not_span_L():
     L, _ = _low_rank(gen, 30, 40, 4)
     other = np.linalg.qr(gen.standard_normal((30, 4)))[0]
     with pytest.raises(AssertionError, match="does not span"):
-        _check_instance(_instance(L, other, 4))
+        _check_instance(_instance(L, other))
 
 
 def test_check_rejects_basis_with_too_few_columns():
     L, basis = _low_rank(np.random.default_rng(6), 30, 40, 4)
-    with pytest.raises(AssertionError, match="true basis has shape"):
-        _check_instance(_instance(L, basis[:, :3], 4))
+    with pytest.raises(AssertionError, match="does not span"):
+        _check_instance(_instance(L, basis[:, :3]))
 
 
 def test_check_is_at_least_as_strict_as_svd_rule():
@@ -257,7 +274,7 @@ def test_check_is_at_least_as_strict_as_svd_rule():
             basis = basis * (1.0 + t * gen.standard_normal(r))
         elif kind == "other":
             basis = np.linalg.qr(gen.standard_normal((m, r)))[0]
-        inst = _instance(L, basis, r)
+        inst = _instance(L, basis)
         old, new = _svd_rule_rejects(inst), _check_rejects(inst)
         assert new or not old, (kind, t, m, n, r)
         svd_rejects += old
@@ -284,8 +301,6 @@ def test_oracle_counts_fresh_entries_once():
     # Second read of the same pattern is free.
     oracle.entries(omega, 4)
     assert oracle.entry_count == 12
-    assert oracle.column_full_flags[4]
-    assert not oracle.column_full_flags[0]
 
 
 def test_oracle_single_entry_reads():
@@ -323,7 +338,6 @@ def test_oracle_concurrent_reads_lose_no_counts():
     with concurrent.futures.ThreadPoolExecutor(max_workers=8) as pool:
         list(pool.map(reader, range(n)))
     assert oracle.entry_count == m * n
-    assert oracle.column_full_flags.all()
 
 
 def test_oracle_count_matches_independent_set():
@@ -369,8 +383,6 @@ def test_oracle_memory_order_does_not_change_reads():
             np.testing.assert_array_equal(got[0], hidden[:, j])
         np.testing.assert_array_equal(got[0], got[1])
         assert oracles[0].entry_count == oracles[1].entry_count
-    np.testing.assert_array_equal(oracles[0].column_full_flags,
-                                  oracles[1].column_full_flags)
 
 
 # ---------------------------------------------------------------------------

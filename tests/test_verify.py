@@ -98,6 +98,24 @@ def test_out_of_range_parameters_rejected_before_any_draw(
         run_check(name, trials=20, seed=0, **overrides)
 
 
+# Every trial-driven check takes its stream through ``_as_state``, which
+# refuses a trial count below one, a vacuous PASS or N/A otherwise, before
+# the first generator is built.
+@pytest.mark.parametrize("trials", [0, -3])
+@pytest.mark.parametrize("name", [n for n in CHECK_NAMES if n != "ededler"])
+def test_non_positive_trials_rejected_before_any_draw(
+        monkeypatch, name, trials):
+    def no_draws(self):
+        raise AssertionError("a check drew before validating")
+    monkeypatch.setattr(RngState, "generator", no_draws)
+    message = f"trials must be a positive integer; got {trials}"
+    with pytest.raises(ValueError, match=message):
+        run_check(name, trials=trials, seed=0)
+    check = getattr(verify, f"check_{name}")
+    with pytest.raises(ValueError, match=message):
+        check(trials=trials, rng=0, **verify._CHECKS[name][2])
+
+
 def test_reports_are_reproducible():
     a = run_check("conc", trials=200, seed=5)
     b = run_check("conc", trials=200, seed=5)
