@@ -114,18 +114,25 @@ class OrthonormalBasis:
         return f"OrthonormalBasis(ambient_dim={self.ambient_dim}, dim={self.dim})"
 
 
-def _check_index_set(omega, ambient):
-    """Validate a strictly increasing index set into [0, ambient)."""
-    omega = np.asarray(omega, dtype=np.intp)
-    if omega.ndim != 1:
-        raise ValueError("index set must be 1-dimensional")
-    if omega.size == 0:
-        raise ValueError("index set must be nonempty")
-    if omega[0] < 0 or omega[-1] >= ambient or np.any(np.diff(omega) <= 0):
+def _check_index_set(omega, ambient, range_error=ValueError):
+    """Validate a strictly increasing index set into [0, ambient).
+
+    The entries must already be integers: a float or bool array is
+    rejected with ``ValueError``, never rounded or cast.  An entry outside
+    [0, ambient) raises ``range_error``; every other defect raises
+    ``ValueError``.  Returns the set as an ``intp`` array.
+    """
+    omega = np.asarray(omega)
+    if omega.ndim != 1 or omega.size == 0:
+        raise ValueError("index set must be a nonempty 1-D array")
+    if omega.dtype.kind not in "iu":
         raise ValueError(
-            "index set must be strictly increasing with entries in "
-            f"[0, {ambient})"
-        )
+            f"index set must have an integer dtype; got {omega.dtype}")
+    omega = omega.astype(np.intp, copy=False)
+    if omega[0] < 0 or omega[-1] >= ambient:
+        raise range_error(f"index set entries must lie in [0, {ambient})")
+    if (omega[1:] <= omega[:-1]).any():
+        raise ValueError("index set must be strictly increasing")
     return omega
 
 
@@ -226,6 +233,8 @@ class RestrictedSolver:
     below ``LSTSQ_RCOND`` times the largest are truncated: the rank rule
     and the minimum-norm solution of ``np.linalg.lstsq`` with that
     ``rcond``.  Every later fit is two matrix-vector products.
+    ``B_omega`` is kept column-major, the layout in which the residual's
+    product ``B_omega coef`` is fastest.
 
     Attributes
     ----------
@@ -250,7 +259,7 @@ class RestrictedSolver:
             u, s, vt = np.linalg.svd(a, full_matrices=False)
             rank = int(np.count_nonzero(s > LSTSQ_RCOND * s[0]))
             pinv = (vt[:rank].T / s[:rank]) @ u[:, :rank].T
-        self._restricted = a
+        self._restricted = np.asfortranarray(a)
         self._pinv = pinv
         self.degenerate = rank < basis.dim
 
@@ -268,7 +277,9 @@ class RestrictedSolver:
         """
         y = _as_vector(y_omega, self.omega.size, "y_omega")
         coef = self._pinv @ y
-        residual = float(np.linalg.norm(y - self._restricted @ coef))
+        res = y - self._restricted @ coef
+        # sqrt of one dot: what np.linalg.norm computes for a 1-D array.
+        residual = float(np.sqrt(res @ res))
         return coef, residual, self.degenerate
 
     def lift(self, coef):

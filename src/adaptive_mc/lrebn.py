@@ -20,6 +20,12 @@ and the row pattern Omega (redrawn at the new size).  All other columns
 are reconstructed from their sampled entries by least squares against the
 estimated subspace.  Logarithms are natural throughout.
 
+The estimated basis only ever grows by appending columns, so the basis in
+force at dimension k is the first k columns of the final one.  The loop
+therefore keeps only each reconstructed column's coefficients, and the
+reconstructed columns are materialized once, after the last column, as
+one product with the final basis.
+
 ``theta_tilde`` is maintained by the angle recursion
 
     theta_{k} = theta_{k-1} + (pi/2) * numerator / denominator,
@@ -73,6 +79,9 @@ MAX_DELTA = 0.1
 # test, so float-level least-squares noise (~1e-15) cannot trigger a full
 # observation when the exact threshold is 0.
 RESIDUAL_FLOOR = 1e-9
+
+# Size of the buffer recovery_errors forms differences in.
+_ERROR_BLOCK_BYTES = 1 << 20
 
 # Stream label for the row-pattern draws inside a run.
 _STREAM_OMEGA = 7
@@ -187,7 +196,8 @@ class RecoveryResult:
     ``column_records`` holds one ``ColumnRecord`` per column and
     ``budget_trace`` the initial ``SubspaceEvent`` plus one per subspace
     update; ``column_mode``, ``theta_trace`` and ``k_final`` are read from
-    them.
+    them.  ``basis`` is the final estimated basis; its first ``k`` columns
+    are the basis in force at every record and event with that ``k``.
     """
 
     M_tilde: np.ndarray
@@ -195,6 +205,7 @@ class RecoveryResult:
     budget_trace: list
     bound_violations: int
     column_records: list
+    basis: OrthonormalBasis
 
     @property
     def column_mode(self):
@@ -350,33 +361,41 @@ def run_lrebn(oracle, cfg):
     Returns
     -------
     RecoveryResult
-        Recovered matrix, per-column modes and records, the theta and
-        budget traces (one event per subspace update, plus the initial
-        state), and the oracle's final entry count.
+        Recovered matrix, final estimated basis, per-column modes and
+        records, the theta and budget traces (one event per subspace
+        update, plus the initial state), and the oracle's final entry
+        count.
     """
     m, n = oracle.shape
     omega_rng = RngState(cfg.seed, _STREAM_OMEGA).generator()
+    per_column = cfg.omega_redraw == REDRAW_PER_COLUMN
 
     basis = OrthonormalBasis.empty(m)
     k = 0
     theta = 0.0
     event, solver = _refresh(cfg, basis, theta, omega_rng)
     d_budget = event.d_budget
+    # The recorded threshold changes only with the state of a budget
+    # event; the decision itself is column_test's.
+    thr = residual_threshold(d_budget, m, k, cfg.epsilon, theta)
 
     budget_trace = [event]
     records = []
-    M_tilde = np.zeros((m, n), order="F")
+    # Row i: column i's coefficients in the final basis, zero-padded past
+    # the k in force when it was reconstructed; all zero for a column
+    # observed in full.
+    coefs = np.zeros((n, cfg.r))
+    observed = {}
 
     for i in range(n):
-        if cfg.omega_redraw == REDRAW_PER_COLUMN:
+        if per_column:
             solver = RestrictedSolver(
                 basis, sample_uniform_subset(m, min(d_budget, m), omega_rng))
         coef, residual, _ = solver.fit(oracle.entries(solver.omega, i))
-        thr = residual_threshold(d_budget, m, k, cfg.epsilon, theta)
 
         if column_test(residual, d_budget, m, k, cfg, theta):
             y_full = oracle.column(i)
-            M_tilde[:, i] = y_full
+            observed[i] = y_full
             records.append(ColumnRecord(i, "FullyObserved", k, d_budget,
                                         theta, residual, thr))
             new_basis = extend_basis(basis, y_full)
@@ -389,14 +408,23 @@ def run_lrebn(oracle, cfg):
             theta = angle_increment(theta, theta_new_col, cfg, k)
             event, solver = _refresh(cfg, basis, theta, omega_rng)
             d_budget = event.d_budget
+            thr = residual_threshold(d_budget, m, k, cfg.epsilon, theta)
             budget_trace.append(event)
+            if k > coefs.shape[1]:
+                coefs = np.pad(coefs, ((0, 0), (0, k - coefs.shape[1])))
         else:
-            # At k = 0, passing the test means every sampled entry was
-            # zero; the lift through the empty basis is the zero column,
-            # the only consistent completion.
-            M_tilde[:, i] = solver.lift(coef)
+            coefs[i, :k] = coef
             records.append(ColumnRecord(i, "Reconstructed", k, d_budget,
                                         theta, residual, thr))
+
+    # Written in place: ``B @ C`` would allocate an m x n temporary.  A
+    # column that passed the test at k = 0 (every sampled entry zero) has
+    # an all-zero row and comes back as the zero column, the only
+    # consistent completion; at k_final = 0 the product is all zero.
+    M_tilde = np.empty((m, n), order="F")
+    np.matmul(basis.matrix, coefs[:, :k].T, out=M_tilde)
+    for i, y_full in observed.items():
+        M_tilde[:, i] = y_full
 
     return RecoveryResult(
         M_tilde=M_tilde,
@@ -404,12 +432,30 @@ def run_lrebn(oracle, cfg):
         budget_trace=budget_trace,
         bound_violations=max(0, k - cfg.r),  # one per update past r
         column_records=records,
+        basis=basis,
     )
 
 
 def recovery_errors(result, L):
-    """Per-column distances between the recovered matrix and a reference."""
+    """Per-column distances between the recovered matrix and a reference.
+
+    The squared differences are summed one block of rows at a time in a
+    reused buffer of about ``_ERROR_BLOCK_BYTES``, so no m x n temporary
+    is built.  Row blocks read a C-ordered reference (as generated and as
+    read from file) contiguously and the column-major ``M_tilde`` in runs
+    of the block height.
+    """
     L = np.asarray(L, dtype=float)
-    if L.shape != result.M_tilde.shape:
+    M = result.M_tilde
+    if L.shape != M.shape:
         raise ValueError("reference matrix shape does not match the result")
-    return np.linalg.norm(result.M_tilde - L, axis=0)
+    m, n = M.shape
+    height = max(1, _ERROR_BLOCK_BYTES // (8 * max(n, 1)))
+    buf = np.empty((min(height, m), n))
+    sq = np.zeros(n)
+    for i0 in range(0, m, height):
+        block = buf[:min(height, m - i0)]
+        np.subtract(M[i0:i0 + height], L[i0:i0 + height], out=block)
+        np.square(block, out=block)
+        sq += block.sum(axis=0)
+    return np.sqrt(sq, out=sq)

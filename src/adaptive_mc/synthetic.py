@@ -21,7 +21,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import OrthonormalBasis, coherence, orthonormalize
+from .linalg import (
+    OrthonormalBasis,
+    _check_index_set,
+    coherence,
+    orthonormalize,
+)
 from .sampling import RngState, as_generator
 
 __all__ = [
@@ -130,17 +135,13 @@ class ObservationOracle:
     def entries(self, omega, j):
         """Reveal and return the entries of column ``j`` at rows ``omega``.
 
-        ``omega`` must be strictly increasing (an index set, no
-        duplicates).
+        ``omega`` must be a strictly increasing set of integer row indices
+        (no duplicates).  A row out of range raises ``IndexError``; any
+        other defect, a float or bool ``omega`` included, ``ValueError``.
+        Nothing is charged for a rejected read.
         """
         self._check_col(j)
-        omega = np.asarray(omega, dtype=np.intp)
-        if omega.ndim != 1 or omega.size == 0:
-            raise ValueError("omega must be a nonempty 1-D index set")
-        if omega[0] < 0 or omega[-1] >= self._hidden.shape[0]:
-            raise IndexError("row index out of range")
-        if np.any(np.diff(omega) <= 0):
-            raise ValueError("omega must be strictly increasing")
+        omega = _check_index_set(omega, self._hidden.shape[0], IndexError)
         revealed = self._revealed[:, j]
         with self._lock:
             self._count += int(omega.size - np.count_nonzero(revealed[omega]))

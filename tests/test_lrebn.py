@@ -1,10 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from adaptive_mc import lrebn
-from adaptive_mc.linalg import RestrictedSolver, coherence
+from adaptive_mc.linalg import LSTSQ_RCOND, RestrictedSolver, coherence
 from adaptive_mc.lrebn import (
     RESIDUAL_FLOOR,
     LrebnConfig,
@@ -434,3 +435,140 @@ def test_recovery_errors_shape_check():
     result = run_lrebn(ObservationOracle(inst.M), cfg)
     with pytest.raises(ValueError):
         recovery_errors(result, np.zeros((10, 9)))
+
+
+# ---------------------------------------------------------------------------
+# materialization from the final basis
+# ---------------------------------------------------------------------------
+
+class StubOracle:
+    """Serves ``entries`` from ``sampled`` and ``column`` from ``full``
+    (``sampled`` unless given), and logs the row pattern of every
+    restricted read.  Counts every read, without deduplication."""
+
+    def __init__(self, sampled, full=None):
+        self.sampled = np.asarray(sampled, dtype=float)
+        self.full = (self.sampled if full is None
+                     else np.asarray(full, dtype=float))
+        self.omegas = {}
+        self.entry_count = 0
+
+    @property
+    def shape(self):
+        return self.sampled.shape
+
+    def entries(self, omega, j):
+        self.omegas[j] = np.array(omega)
+        self.entry_count += len(omega)
+        return self.sampled[omega, j]
+
+    def column(self, j):
+        self.entry_count += self.shape[0]
+        return self.full[:, j].copy()
+
+
+def test_fired_column_in_span_is_kept_and_its_segment_reconstructed():
+    # Column 1's samples leave the span of column 0, so the test fires;
+    # its full read is 2u, already in the span: no dimension is added.
+    m = 6
+    u = np.ones(m) / math.sqrt(m)
+    full = np.column_stack([u, 2 * u, 0.5 * u, -u, 2 * u])
+    sampled = full.copy()
+    sampled[:, 1] = np.eye(m)[0]
+    cfg = cfg_for(epsilon=0.0, r=1, seed=4)
+    assert initial_budget(cfg, m) == m
+    result = run_lrebn(StubOracle(sampled, full), cfg)
+    assert result.column_mode == ["FullyObserved"] * 2 + ["Reconstructed"] * 3
+    assert [rec.k for rec in result.column_records] == [0, 1, 1, 1, 1]
+    assert len(result.budget_trace) == 2
+    assert result.k_final == result.basis.dim == 1
+    np.testing.assert_array_equal(result.M_tilde[:, :2], full[:, :2])
+    np.testing.assert_allclose(result.M_tilde[:, 2:], full[:, 2:],
+                               rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("nonzero", [None, 2])
+def test_zero_columns_at_k_zero_come_back_exactly_zero(nonzero):
+    m, n = 6, 5
+    mat = np.zeros((m, n))
+    if nonzero is not None:
+        mat[:, nonzero] = np.ones(m) / math.sqrt(m)
+    result = run_lrebn(StubOracle(mat), cfg_for(epsilon=0.0, r=1, seed=1))
+    assert result.k_final == result.basis.dim == (nonzero is not None)
+    np.testing.assert_array_equal(result.M_tilde, mat)
+    assert result.M_tilde.flags.f_contiguous
+
+
+def test_per_column_redraw_subsampled_matches_per_column_fits():
+    # d < m, so every column has its own pattern.  Each reconstructed
+    # column must be the least-squares fit on that pattern against the
+    # basis prefix in force for it.
+    m = 2000
+    inst = make_instance(m, 40, 2, 0.01, seed=4)
+    cfg = cfg_for(epsilon=0.01, delta=0.09, r=2, mu=1.0, seed=4,
+                  omega_redraw="per-column")
+    oracle = StubOracle(inst.M)
+    result = run_lrebn(oracle, cfg)
+    assert all(ev.d_drawn < m for ev in result.budget_trace)
+    reconstructed = [rec for rec in result.column_records
+                     if rec.mode == "Reconstructed"]
+    assert len(reconstructed) > 30
+    assert len({oracle.omegas[rec.index].tobytes()
+                for rec in reconstructed}) == len(reconstructed)
+    for rec in result.column_records:
+        i = rec.index
+        if rec.mode == "FullyObserved":
+            np.testing.assert_array_equal(result.M_tilde[:, i], inst.M[:, i])
+            continue
+        b = result.basis.matrix[:, :rec.k]
+        omega = oracle.omegas[i]
+        coef = np.linalg.lstsq(b[omega], inst.M[omega, i],
+                               rcond=LSTSQ_RCOND)[0]
+        np.testing.assert_allclose(result.M_tilde[:, i], b @ coef,
+                                   rtol=0, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the estimated basis
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("seed", [3, 8])
+def test_result_basis_spans_every_reconstructed_column(seed):
+    inst = make_instance(200, 150, 4, 0.02, seed=seed)
+    cfg = cfg_for(epsilon=0.02, delta=0.05, r=4,
+                  mu=coherence(inst.true_basis), seed=seed)
+    result = run_lrebn(ObservationOracle(inst.M), cfg)
+    assert result.basis.dim == result.k_final >= 1
+    assert result.basis.ambient_dim == 200
+    for rec in result.column_records:
+        if rec.mode != "Reconstructed":
+            continue
+        b = result.basis.matrix[:, :rec.k]
+        y = result.M_tilde[:, rec.index]
+        assert np.linalg.norm(y - b @ (b.T @ y)) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# memory: no m x n temporary
+# ---------------------------------------------------------------------------
+
+def test_run_and_errors_allocate_no_m_by_n_temporary():
+    # numpy reports its buffers to tracemalloc.  A run may allocate its
+    # output plus small per-column and per-event arrays; recovery_errors
+    # only a block buffer of about 1 MB and the n errors.
+    inst = make_instance(2000, 600, 5, 0.01, seed=0)
+    cfg = cfg_for(epsilon=0.01, delta=0.05, r=5,
+                  mu=coherence(inst.true_basis), seed=0)
+    oracle = ObservationOracle(inst.M)
+    tracemalloc.start()
+    try:
+        result = run_lrebn(oracle, cfg)
+        run_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        recovery_errors(result, inst.L)
+        errors_peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert run_peak <= 1.1 * result.M_tilde.nbytes, run_peak
+    assert errors_peak <= 2_000_000, errors_peak

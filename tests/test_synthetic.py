@@ -3,6 +3,7 @@ import pytest
 
 from adaptive_mc.linalg import (
     OrthonormalBasis,
+    RestrictedSolver,
     coherence,
     orthonormalize,
     subspace_subspace_angle,
@@ -320,6 +321,23 @@ def test_oracle_rejects_bad_indices():
         oracle.entries([0, 5], 0)
     with pytest.raises(ValueError):
         oracle.entries([2, 2], 0)
+
+
+@pytest.mark.parametrize("omega", [[0.5, 2.7], np.array([1.0, 2.0]),
+                                   [True, False]],
+                         ids=["fractional", "float-array", "bool"])
+@pytest.mark.parametrize("entry_point", ["oracle.entries", "RestrictedSolver"])
+def test_non_integer_index_sets_rejected_before_any_read(entry_point, omega):
+    # Casting would read rows [0, 2], [1, 2] or [1, 0] instead: a
+    # fractional or boolean row set is refused, never truncated.
+    oracle = ObservationOracle(np.arange(12.0).reshape(4, 3))
+    with pytest.raises(ValueError, match="integer dtype"):
+        if entry_point == "oracle.entries":
+            oracle.entries(omega, 0)
+        else:
+            RestrictedSolver(orthonormalize([np.ones(4)]), omega)
+    assert oracle.entry_count == 0
+    assert not oracle._revealed.any()
 
 
 def test_oracle_concurrent_reads_lose_no_counts():
