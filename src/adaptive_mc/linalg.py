@@ -64,6 +64,17 @@ DEFAULT_RANK_TOL = 1e-10
 # bases can be ill-conditioned when few rows are sampled.
 LSTSQ_RCOND = 1e-10
 
+# Size of one block of rows in the passes that walk an m x n float matrix a
+# block at a time (the oracle's copy, recovery_errors): small enough that a
+# block is still in cache for the pass's next step.
+_BLOCK_BYTES = 1 << 20
+
+
+def _block_rows(n):
+    """Rows per block of an n-column float64 matrix: about
+    ``_BLOCK_BYTES``, and at least one."""
+    return max(1, _BLOCK_BYTES // (8 * max(n, 1)))
+
 
 class OrthonormalBasis:
     """An m x k real matrix with orthonormal columns.

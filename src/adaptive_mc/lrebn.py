@@ -23,8 +23,10 @@ estimated subspace.  Logarithms are natural throughout.
 The estimated basis only ever grows by appending columns, so the basis in
 force at dimension k is the first k columns of the final one.  The loop
 therefore keeps only each reconstructed column's coefficients, and the
-reconstructed columns are materialized once, after the last column, as
-one product with the final basis.
+result stays factored: the final basis, the coefficients and the fully
+observed columns.  The recovered matrix is materialized only when it is
+read, as one product with the final basis; ``recovery_errors`` scores the
+factors a block of rows at a time without materializing it.
 
 ``theta_tilde`` is maintained by the angle recursion
 
@@ -41,6 +43,7 @@ quantity respects, and at pi/2 always.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -50,6 +53,7 @@ import numpy as np
 from .linalg import (
     OrthonormalBasis,
     RestrictedSolver,
+    _block_rows,
     coherence,
     extend_basis,
     vector_subspace_angle,
@@ -79,9 +83,6 @@ MAX_DELTA = 0.1
 # test, so float-level least-squares noise (~1e-15) cannot trigger a full
 # observation when the exact threshold is 0.
 RESIDUAL_FLOOR = 1e-9
-
-# Size of the buffer recovery_errors forms differences in.
-_ERROR_BLOCK_BYTES = 1 << 20
 
 # Stream label for the row-pattern draws inside a run.
 _STREAM_OMEGA = 7
@@ -191,21 +192,48 @@ class SubspaceEvent(NamedTuple):
 
 @dataclass
 class RecoveryResult:
-    """Output of a run: the recovered matrix plus full accounting.
+    """Output of a run: the recovered matrix, in factored form, plus full
+    accounting.
 
     ``column_records`` holds one ``ColumnRecord`` per column and
     ``budget_trace`` the initial ``SubspaceEvent`` plus one per subspace
     update; ``column_mode``, ``theta_trace`` and ``k_final`` are read from
     them.  ``basis`` is the final estimated basis; its first ``k`` columns
     are the basis in force at every record and event with that ``k``.
+
+    The recovered matrix is ``basis.matrix @ coefs.T`` with the columns in
+    ``observed`` written over it.  ``coefs`` is n x k_final: row i holds
+    column i's coefficients in the final basis, zero past the k in force
+    when it was reconstructed, and all zero for a column observed in full.
+    ``observed`` maps the index of every column observed in full, whether
+    or not it added a dimension, to the column as read.  ``M_tilde``
+    builds the m x n matrix on first read and keeps it.
     """
 
-    M_tilde: np.ndarray
     observations: int
     budget_trace: list
     bound_violations: int
     column_records: list
     basis: OrthonormalBasis
+    coefs: np.ndarray
+    observed: dict
+
+    @functools.cached_property
+    def M_tilde(self):
+        """The recovered m x n matrix, column-major.
+
+        Written in place: ``M[:, idx] = B @ C`` would allocate a second
+        m x n array.  A column that passed the test at k = 0 (every
+        sampled entry zero) has an all-zero row and comes back as the zero
+        column, the only consistent completion; at k_final = 0 the product
+        is all zero.
+        """
+        M_tilde = np.empty((self.basis.ambient_dim, len(self.column_records)),
+                           order="F")
+        np.matmul(self.basis.matrix, self.coefs.T, out=M_tilde)
+        for i, y_full in self.observed.items():
+            M_tilde[:, i] = y_full
+        return M_tilde
 
     @property
     def column_mode(self):
@@ -417,45 +445,52 @@ def run_lrebn(oracle, cfg):
             records.append(ColumnRecord(i, "Reconstructed", k, d_budget,
                                         theta, residual, thr))
 
-    # Written in place: ``B @ C`` would allocate an m x n temporary.  A
-    # column that passed the test at k = 0 (every sampled entry zero) has
-    # an all-zero row and comes back as the zero column, the only
-    # consistent completion; at k_final = 0 the product is all zero.
-    M_tilde = np.empty((m, n), order="F")
-    np.matmul(basis.matrix, coefs[:, :k].T, out=M_tilde)
-    for i, y_full in observed.items():
-        M_tilde[:, i] = y_full
-
     return RecoveryResult(
-        M_tilde=M_tilde,
         observations=oracle.entry_count,
         budget_trace=budget_trace,
         bound_violations=max(0, k - cfg.r),  # one per update past r
         column_records=records,
         basis=basis,
+        coefs=coefs[:, :k],
+        observed=observed,
     )
 
 
 def recovery_errors(result, L):
     """Per-column distances between the recovered matrix and a reference.
 
-    The squared differences are summed one block of rows at a time in a
-    reused buffer of about ``_ERROR_BLOCK_BYTES``, so no m x n temporary
-    is built.  Row blocks read a C-ordered reference (as generated and as
-    read from file) contiguously and the column-major ``M_tilde`` in runs
-    of the block height.
+    Works from the result's factors and never materializes ``M_tilde``:
+    one block of rows at a time, in a reused buffer of about a megabyte,
+    the block of the recovered matrix is formed as the product of the
+    basis rows with the coefficients, the fully observed columns'
+    segments are written in, and the reference rows are subtracted; the
+    squares are summed per column.  A C-ordered reference (as generated
+    and as read from file) is read once, contiguously.
+
+    Raises ``ValueError`` when the reference's shape differs from the
+    result's, or when any distance is not finite (a NaN or inf in the
+    reference, or one beyond the float range).
     """
     L = np.asarray(L, dtype=float)
-    M = result.M_tilde
-    if L.shape != M.shape:
+    B = result.basis.matrix
+    C = result.coefs.T
+    m, n = B.shape[0], C.shape[1]
+    if L.shape != (m, n):
         raise ValueError("reference matrix shape does not match the result")
-    m, n = M.shape
-    height = max(1, _ERROR_BLOCK_BYTES // (8 * max(n, 1)))
+    height = _block_rows(n)
     buf = np.empty((min(height, m), n))
     sq = np.zeros(n)
-    for i0 in range(0, m, height):
-        block = buf[:min(height, m - i0)]
-        np.subtract(M[i0:i0 + height], L[i0:i0 + height], out=block)
-        np.square(block, out=block)
-        sq += block.sum(axis=0)
+    with np.errstate(invalid="ignore", over="ignore"):
+        for i0 in range(0, m, height):
+            block = buf[:min(height, m - i0)]
+            np.matmul(B[i0:i0 + height], C, out=block)
+            for i, y_full in result.observed.items():
+                block[:, i] = y_full[i0:i0 + height]
+            np.subtract(block, L[i0:i0 + height], out=block)
+            np.square(block, out=block)
+            sq += block.sum(axis=0)
+    if not np.isfinite(sq).all():
+        raise ValueError(
+            "a column error is not finite: the reference matrix holds a NaN "
+            "or inf entry, or one too large to square")
     return np.sqrt(sq, out=sq)

@@ -23,6 +23,7 @@ import numpy as np
 
 from .linalg import (
     OrthonormalBasis,
+    _block_rows,
     _check_index_set,
     coherence,
     orthonormalize,
@@ -94,16 +95,28 @@ class ObservationOracle:
     Every read is confined to one column, so the hidden matrix and the
     revealed mask are stored column-major: each read gathers from
     contiguous memory.
+
+    The oracle keeps a private, read-only copy: later writes to the
+    caller's array do not change what it reveals.  The copy is made one
+    block of about a megabyte of rows at a time, and each block is checked
+    for non-finite entries while it is still in cache: transposing a
+    row-major input stays within cache, and the finite check allocates no
+    m x n mask.
     """
 
     def __init__(self, hidden):
-        hidden = np.array(hidden, dtype=float, order="F", copy=True)
+        hidden = np.asarray(hidden)
         if hidden.ndim != 2:
             raise ValueError("hidden matrix must be 2-dimensional")
-        if not np.all(np.isfinite(hidden)):
-            raise ValueError("hidden matrix entries must be finite")
-        hidden.flags.writeable = False
-        self._hidden = hidden
+        store = np.empty(hidden.shape, order="F")
+        height = _block_rows(hidden.shape[1])
+        for i0 in range(0, hidden.shape[0], height):
+            block = store[i0:i0 + height]
+            block[...] = hidden[i0:i0 + height]
+            if not np.isfinite(block).all():
+                raise ValueError("hidden matrix entries must be finite")
+        store.flags.writeable = False
+        self._hidden = store
         self._revealed = np.zeros(hidden.shape, dtype=bool, order="F")
         self._count = 0
         self._lock = threading.Lock()

@@ -165,6 +165,25 @@ def test_run_missing_instance_errors(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_run_rejects_non_finite_reference(tmp_path, capsys, bad):
+    inst = tmp_path / "inst"
+    cli.main(["generate", "--m", "30", "--n", "20", "--r", "2",
+              "--epsilon", "0.01", "--seed", "2", "--out", str(inst)])
+    L = synthetic.read_matrix(inst / "L.mat")
+    L[7, 11] = bad
+    synthetic.write_matrix(inst / "L.mat", L)
+    capsys.readouterr()
+    out = tmp_path / "run"
+    rc = cli.main(["run", "--instance", str(inst), "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "column error is not finite" in err
+    assert "Traceback" not in err
+    assert not (out / "results.csv").exists()
+
+
 def test_run_rerun_identical(instance_dir, tmp_path):
     outs = []
     for name in ("r1", "r2"):

@@ -572,3 +572,116 @@ def test_run_and_errors_allocate_no_m_by_n_temporary():
         tracemalloc.stop()
     assert run_peak <= 1.1 * result.M_tilde.nbytes, run_peak
     assert errors_peak <= 2_000_000, errors_peak
+
+
+def test_run_allocates_nothing_close_to_the_matrix_size():
+    # The result stays factored: the run keeps n x k coefficients and the
+    # fully observed columns, never an m x n array.
+    m, n = 2000, 600
+    inst = make_instance(m, n, 5, 0.01, seed=0)
+    cfg = cfg_for(epsilon=0.01, delta=0.05, r=5,
+                  mu=coherence(inst.true_basis), seed=0)
+    oracle = ObservationOracle(inst.M)
+    tracemalloc.start()
+    try:
+        result = run_lrebn(oracle, cfg)
+        run_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert "M_tilde" not in vars(result)
+    assert run_peak <= 0.25 * 8 * m * n, run_peak
+
+
+# ---------------------------------------------------------------------------
+# the factored result
+# ---------------------------------------------------------------------------
+
+def test_M_tilde_is_built_once_from_the_factors():
+    inst = make_instance(200, 150, 4, 0.02, seed=5)
+    cfg = cfg_for(epsilon=0.02, delta=0.05, r=4,
+                  mu=coherence(inst.true_basis), seed=5)
+    result = run_lrebn(ObservationOracle(inst.M), cfg)
+    assert "M_tilde" not in vars(result)
+    k = result.k_final
+    assert result.coefs.shape == (150, k)
+    full = [rec.index for rec in result.column_records
+            if rec.mode == "FullyObserved"]
+    assert sorted(result.observed) == full
+    np.testing.assert_array_equal(result.coefs[full], 0.0)
+    expected = result.basis.matrix @ result.coefs.T
+    for i, y_full in result.observed.items():
+        np.testing.assert_array_equal(y_full, inst.M[:, i])
+        expected[:, i] = y_full
+    M_tilde = result.M_tilde
+    np.testing.assert_array_equal(M_tilde, expected)
+    assert M_tilde.flags.f_contiguous
+    assert result.M_tilde is M_tilde
+
+
+def _clamped_run():
+    inst = make_instance(200, 150, 4, 0.02, seed=6)
+    cfg = cfg_for(epsilon=0.02, delta=0.05, r=4,
+                  mu=coherence(inst.true_basis), seed=6)
+    return run_lrebn(ObservationOracle(inst.M), cfg), inst.L
+
+
+def _subsampled_run(omega_redraw):
+    inst = make_instance(2000, 40, 2, 0.01, seed=4)
+    cfg = cfg_for(epsilon=0.01, delta=0.09, r=2, mu=1.0, seed=4,
+                  omega_redraw=omega_redraw)
+    result = run_lrebn(ObservationOracle(inst.M), cfg)
+    assert all(ev.d_drawn < 2000 for ev in result.budget_trace)
+    return result, inst.L
+
+
+def _k_zero_run():
+    reference = make_instance(30, 12, 2, 0.0, seed=2).L
+    result = run_lrebn(StubOracle(np.zeros((30, 12))),
+                       cfg_for(epsilon=0.0, r=1, seed=1))
+    assert result.k_final == 0
+    return result, reference
+
+
+def _empty_run():
+    result = run_lrebn(ObservationOracle(np.zeros((5, 0))), cfg_for(r=1))
+    return result, np.zeros((5, 0))
+
+
+def _fired_in_span_run():
+    m = 6
+    u = np.ones(m) / math.sqrt(m)
+    full = np.column_stack([u, 2 * u, 0.5 * u, -u, 2 * u])
+    sampled = full.copy()
+    sampled[:, 1] = np.eye(m)[0]
+    result = run_lrebn(StubOracle(sampled, full),
+                       cfg_for(epsilon=0.0, r=1, seed=4))
+    assert sorted(result.observed) == [0, 1] and result.k_final == 1
+    return result, sampled
+
+
+@pytest.mark.parametrize("make_run", [
+    _clamped_run,
+    lambda: _subsampled_run("on-update"),
+    lambda: _subsampled_run("per-column"),
+    _k_zero_run,
+    _empty_run,
+    _fired_in_span_run,
+], ids=["clamped", "subsampled", "per-column", "k-zero", "n-zero",
+        "fired-in-span"])
+def test_recovery_errors_match_the_materialized_difference(make_run):
+    result, L = make_run()
+    errors = recovery_errors(result, L)
+    assert "M_tilde" not in vars(result)
+    np.testing.assert_allclose(
+        errors, np.linalg.norm(result.M_tilde - L, axis=0), rtol=0,
+        atol=1e-15)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e200])
+def test_recovery_errors_reject_a_non_finite_error(bad):
+    # 1e200 is finite, but its square is not: the error would read inf.
+    result, L = _clamped_run()
+    L = L.copy()
+    L[17, 3] = bad
+    with pytest.raises(ValueError, match="column error is not finite"):
+        recovery_errors(result, L)

@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from adaptive_mc.linalg import (
     OrthonormalBasis,
     RestrictedSolver,
+    _block_rows,
     coherence,
     orthonormalize,
     subspace_subspace_angle,
@@ -401,6 +404,63 @@ def test_oracle_memory_order_does_not_change_reads():
             np.testing.assert_array_equal(got[0], hidden[:, j])
         np.testing.assert_array_equal(got[0], got[1])
         assert oracles[0].entry_count == oracles[1].entry_count
+
+
+# The oracle copies and checks its input a block of rows at a time: with
+# 1000 columns the blocks are _block_rows(1000) = 131 rows high, and 400
+# rows make three full blocks and a partial one.
+_TILED = (400, 1000)
+
+
+@pytest.mark.parametrize("row", [0, _block_rows(_TILED[1]) + 5, _TILED[0] - 1],
+                         ids=["first-block", "interior-block", "last-block"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_oracle_rejects_a_non_finite_entry_in_any_block(row, bad):
+    assert _TILED[0] % _block_rows(_TILED[1]) != 0
+    hidden = np.random.default_rng(2).standard_normal(_TILED)
+    hidden[row, 617] = bad
+    with pytest.raises(ValueError, match="must be finite"):
+        ObservationOracle(hidden)
+
+
+@pytest.mark.parametrize("shape", [(7, 0), (0, 4)])
+def test_oracle_builds_on_an_empty_matrix(shape):
+    oracle = ObservationOracle(np.zeros(shape))
+    assert oracle.shape == shape
+    assert oracle.entry_count == 0
+    if shape[1]:
+        assert oracle.column(shape[1] - 1).shape == (0,)
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_oracle_reads_its_own_copy(order):
+    hidden = np.asarray(np.random.default_rng(4).standard_normal(_TILED),
+                        order=order)
+    saved = hidden.copy()
+    oracle = ObservationOracle(hidden)
+    hidden[:] = np.nan
+    for j in (0, 500, 999):
+        np.testing.assert_array_equal(oracle.column(j), saved[:, j])
+    omega = np.arange(0, _TILED[0], 7)
+    np.testing.assert_array_equal(oracle.entries(omega, 3), saved[omega, 3])
+    np.testing.assert_array_equal(oracle.entry(399, 998), saved[399, 998])
+    assert not oracle._hidden.flags.writeable
+
+
+def test_oracle_construction_allocates_only_its_store():
+    # numpy reports its buffers to tracemalloc.  The oracle holds the
+    # float copy and the revealed mask; the blockwise copy and finite
+    # check add at most a block, never an m x n temporary.  At this size
+    # an m x n bool mask (3 MB) is larger than the 2 MB allowance.
+    m, n = 2000, 1500
+    hidden = np.random.default_rng(6).standard_normal((m, n))
+    tracemalloc.start()
+    try:
+        ObservationOracle(hidden)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * m * n + m * n + 2_000_000, peak
 
 
 # ---------------------------------------------------------------------------
