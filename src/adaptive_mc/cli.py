@@ -33,6 +33,7 @@ from .lrebn import (
 from .sampling import RngState
 from .synthetic import (
     ObservationOracle,
+    _check_rank,
     load_instance,
     make_instance,
     save_instance,
@@ -135,18 +136,14 @@ def _build_config(args, epsilon, r, meta=None):
 
 
 def _write_manifest(path, cfg):
-    lines = [
-        f"epsilon={cfg.epsilon:.17g}",
-        f"delta={cfg.delta:.17g}",
-        f"r={cfg.r}",
-        f"mu_upper={cfg.mu_upper:.17g}",
-        f"seed={cfg.seed}",
-        f"budget_cap_to_m={'true' if cfg.budget_cap_to_m else 'false'}",
-        f"angle_cap_enabled={'true' if cfg.angle_cap_enabled else 'false'}",
-        f"estimate_mu={'true' if cfg.estimate_mu else 'false'}",
-        f"omega_redraw_policy={cfg.omega_redraw}",
-    ]
-    _write_text(path, "\n".join(lines) + "\n")
+    fields = [("epsilon", cfg.epsilon), ("delta", cfg.delta), ("r", cfg.r),
+              ("mu_upper", cfg.mu_upper), ("seed", cfg.seed),
+              ("budget_cap_to_m", cfg.budget_cap_to_m),
+              ("angle_cap_enabled", cfg.angle_cap_enabled),
+              ("estimate_mu", cfg.estimate_mu),
+              ("omega_redraw_policy", cfg.omega_redraw)]
+    _write_text(path, "".join(f"{key}={_fmt(value)}\n"
+                              for key, value in fields))
 
 
 def cmd_run(args):
@@ -208,7 +205,8 @@ def cmd_sweep(args):
         for delta in args.delta
     ]
     # Reject out-of-model parameters before the first cell runs.
-    for _, _, r, epsilon, delta in cells:
+    for m, n, r, epsilon, delta in cells:
+        _check_rank(r, m, n)
         LrebnConfig(epsilon=epsilon, delta=delta, r=r)
     rows = [
         _sweep_cell(args, idx, *cell, trial)

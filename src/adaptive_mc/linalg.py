@@ -12,7 +12,7 @@ project
 RestrictedSolver
     least squares against a row-restricted basis ``B_omega``, factored
     once per (basis, omega) pair and then applied to any number of
-    sampled columns; ``lift`` maps a fit back to the full ambient space
+    sampled columns; a fit returns the coefficients and the residual norm
 coherence / vector_coherence
     alignment of a subspace (or vector) with the coordinate axes
 vector_vector_angle / vector_subspace_angle / subspace_subspace_angle
@@ -249,7 +249,6 @@ class RestrictedSolver:
 
     Attributes
     ----------
-    basis : OrthonormalBasis
     omega : ndarray of intp
         The validated, strictly increasing row index set.
     degenerate : bool
@@ -257,11 +256,10 @@ class RestrictedSolver:
         dimension, i.e. the sampled rows do not pin down the fit.
     """
 
-    __slots__ = ("basis", "omega", "degenerate", "_restricted", "_pinv")
+    __slots__ = ("omega", "degenerate", "_restricted", "_pinv")
 
     def __init__(self, basis, omega):
         self.omega = _check_index_set(omega, basis.ambient_dim)
-        self.basis = basis
         a = basis.matrix[self.omega, :]
         if basis.dim == 0:
             rank = 0
@@ -284,18 +282,13 @@ class RestrictedSolver:
             when ``degenerate``).
         residual_norm : float
             ``|| y_omega - B_omega coef ||_2``.
-        degenerate : bool
         """
         y = _as_vector(y_omega, self.omega.size, "y_omega")
         coef = self._pinv @ y
         res = y - self._restricted @ coef
         # sqrt of one dot: what np.linalg.norm computes for a 1-D array.
         residual = float(np.sqrt(res @ res))
-        return coef, residual, self.degenerate
-
-    def lift(self, coef):
-        """The full-length column ``B coef``."""
-        return self.basis.matrix @ coef
+        return coef, residual
 
 
 def _frame(basis):
@@ -335,14 +328,16 @@ def coherence(basis):
     vectors ``e_j`` of the ambient space.  Since ``|| P e_j ||`` equals
     the norm of row ``j`` of the basis matrix, this costs O(m k).  The
     value lies in [1, m / k]; 1 for perfectly spread subspaces, m / k
-    when the subspace contains a coordinate axis.
+    when the subspace contains a coordinate axis.  The result is floored
+    at 1, as the angles clamp their ratios: where every row has the same
+    norm (k = m, say), rounding can put the maximum just below.
     """
     b = _frame(basis)
     m, k = b.shape[-2:]
     if k == 0:
         raise ValueError("coherence is undefined for an empty basis")
     row_sq = np.einsum("...ij,...ij->...i", b, b)
-    return _result(m / k * np.max(row_sq, axis=-1))
+    return _result(np.maximum(1.0, m / k * np.max(row_sq, axis=-1)))
 
 
 def vector_coherence(z):

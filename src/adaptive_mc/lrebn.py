@@ -190,7 +190,7 @@ class SubspaceEvent(NamedTuple):
     d_drawn: int
 
 
-@dataclass
+@dataclass(eq=False)
 class RecoveryResult:
     """Output of a run: the recovered matrix, in factored form, plus full
     accounting.
@@ -207,7 +207,8 @@ class RecoveryResult:
     when it was reconstructed, and all zero for a column observed in full.
     ``observed`` maps the index of every column observed in full, whether
     or not it added a dimension, to the column as read.  ``M_tilde``
-    builds the m x n matrix on first read and keeps it.
+    builds the m x n matrix on first read and keeps it.  Results compare
+    equal only when they are the same object.
     """
 
     observations: int
@@ -222,18 +223,20 @@ class RecoveryResult:
     def M_tilde(self):
         """The recovered m x n matrix, column-major.
 
-        Written in place: ``M[:, idx] = B @ C`` would allocate a second
-        m x n array.  A column that passed the test at k = 0 (every
-        sampled entry zero) has an all-zero row and comes back as the zero
-        column, the only consistent completion; at k_final = 0 the product
-        is all zero.
+        A column that passed the test at k = 0 (every sampled entry zero)
+        has an all-zero row and comes back as the zero column, the only
+        consistent completion; at k_final = 0 the product is all zero.
         """
-        M_tilde = np.empty((self.basis.ambient_dim, len(self.column_records)),
-                           order="F")
-        np.matmul(self.basis.matrix, self.coefs.T, out=M_tilde)
+        m, n = self.basis.ambient_dim, len(self.column_records)
+        return self._write_rows(0, m, np.empty((m, n), order="F"))
+
+    def _write_rows(self, i0, i1, out):
+        """Write rows ``i0:i1`` of the recovered matrix into ``out`` in
+        place (the product, then the fully observed columns) and return it."""
+        np.matmul(self.basis.matrix[i0:i1], self.coefs.T, out=out)
         for i, y_full in self.observed.items():
-            M_tilde[:, i] = y_full
-        return M_tilde
+            out[:, i] = y_full[i0:i1]
+        return out
 
     @property
     def column_mode(self):
@@ -291,8 +294,9 @@ def residual_threshold(d, m, k, epsilon, theta_tilde):
     return (1.0 + epsilon) * (root * theta_tilde + math.sqrt(3.0 * d * k * epsilon / (2.0 * m)))
 
 
-def column_test(residual, d, m, k, cfg, theta_tilde):
-    """True when the sampled residual exceeds the novelty threshold.
+def column_test(residual, threshold):
+    """True when the sampled residual exceeds ``threshold``, the value of
+    ``residual_threshold`` at the state in force.
 
     Residuals at or below ``RESIDUAL_FLOOR`` count as zero.  At k = 0 the
     threshold is 0, so any residual above the floor sends the column to
@@ -300,9 +304,7 @@ def column_test(residual, d, m, k, cfg, theta_tilde):
     """
     if residual < 0.0:
         raise ValueError("residual must be non-negative")
-    return (residual > RESIDUAL_FLOOR
-            and residual > residual_threshold(d, m, k, cfg.epsilon,
-                                              theta_tilde))
+    return residual > RESIDUAL_FLOOR and residual > threshold
 
 
 def angle_increment(theta_tilde_prev, theta_new_col, cfg, k):
@@ -364,17 +366,26 @@ def _effective_mu(cfg, basis):
     return max(1.0, 2.0 * coherence(basis) * basis.dim / cfg.r)
 
 
+def _draw_solver(basis, d_budget, omega_rng):
+    """Restricted solver on a fresh pattern of ``min(d_budget, m)`` rows."""
+    m = basis.ambient_dim
+    return RestrictedSolver(
+        basis, sample_uniform_subset(m, min(d_budget, m), omega_rng))
+
+
 def _refresh(cfg, basis, theta_tilde, omega_rng):
-    """Budget event and restricted solver for a new (basis, theta_tilde):
-    refreshes mu, evaluates the budget, and draws the row pattern."""
+    """Budget event, novelty threshold and restricted solver for a new
+    (basis, theta_tilde): refreshes mu, evaluates the budget and the
+    threshold, and draws the row pattern."""
     m = basis.ambient_dim
     mu = _effective_mu(cfg, basis)
     d_formula, d_budget = _budgets(cfg, mu, m, theta_tilde)
-    solver = RestrictedSolver(
-        basis, sample_uniform_subset(m, min(d_budget, m), omega_rng))
+    solver = _draw_solver(basis, d_budget, omega_rng)
     event = SubspaceEvent(basis.dim, theta_tilde, mu, d_formula, d_budget,
                           solver.omega.size)
-    return event, solver
+    threshold = residual_threshold(d_budget, m, basis.dim, cfg.epsilon,
+                                   theta_tilde)
+    return event, threshold, solver
 
 
 def run_lrebn(oracle, cfg):
@@ -386,6 +397,9 @@ def run_lrebn(oracle, cfg):
     ``cfg.omega_redraw`` says otherwise.  Entries are read exclusively
     through Omega-restricted and full-column oracle calls.
 
+    Between two updates every column is decided, and recorded, at one
+    state: the latest ``SubspaceEvent`` and the threshold computed from it.
+
     Returns
     -------
     RecoveryResult
@@ -396,62 +410,50 @@ def run_lrebn(oracle, cfg):
     """
     m, n = oracle.shape
     omega_rng = RngState(cfg.seed, _STREAM_OMEGA).generator()
-    per_column = cfg.omega_redraw == REDRAW_PER_COLUMN
 
     basis = OrthonormalBasis.empty(m)
-    k = 0
-    theta = 0.0
-    event, solver = _refresh(cfg, basis, theta, omega_rng)
-    d_budget = event.d_budget
-    # The recorded threshold changes only with the state of a budget
-    # event; the decision itself is column_test's.
-    thr = residual_threshold(d_budget, m, k, cfg.epsilon, theta)
-
+    event, threshold, solver = _refresh(cfg, basis, 0.0, omega_rng)
     budget_trace = [event]
     records = []
     # Row i: column i's coefficients in the final basis, zero-padded past
     # the k in force when it was reconstructed; all zero for a column
-    # observed in full.
-    coefs = np.zeros((n, cfg.r))
+    # observed in full.  At most m wide up front: k never exceeds m.
+    coefs = np.zeros((n, min(cfg.r, m)))
     observed = {}
 
     for i in range(n):
-        if per_column:
-            solver = RestrictedSolver(
-                basis, sample_uniform_subset(m, min(d_budget, m), omega_rng))
-        coef, residual, _ = solver.fit(oracle.entries(solver.omega, i))
-
-        if column_test(residual, d_budget, m, k, cfg, theta):
-            y_full = oracle.column(i)
-            observed[i] = y_full
-            records.append(ColumnRecord(i, "FullyObserved", k, d_budget,
-                                        theta, residual, thr))
-            new_basis = extend_basis(basis, y_full)
-            if new_basis.dim == k:
-                # Numerically nothing new was added; keep the state as is.
-                continue
-            theta_new_col = vector_subspace_angle(y_full, basis)
-            basis = new_basis
-            k = basis.dim
-            theta = angle_increment(theta, theta_new_col, cfg, k)
-            event, solver = _refresh(cfg, basis, theta, omega_rng)
-            d_budget = event.d_budget
-            thr = residual_threshold(d_budget, m, k, cfg.epsilon, theta)
-            budget_trace.append(event)
-            if k > coefs.shape[1]:
-                coefs = np.pad(coefs, ((0, 0), (0, k - coefs.shape[1])))
-        else:
-            coefs[i, :k] = coef
-            records.append(ColumnRecord(i, "Reconstructed", k, d_budget,
-                                        theta, residual, thr))
+        if cfg.omega_redraw == REDRAW_PER_COLUMN:
+            solver = _draw_solver(basis, event.d_budget, omega_rng)
+        coef, residual = solver.fit(oracle.entries(solver.omega, i))
+        fired = column_test(residual, threshold)
+        records.append(ColumnRecord(
+            i, "FullyObserved" if fired else "Reconstructed", event.k,
+            event.d_budget, event.theta_tilde, residual, threshold))
+        if not fired:
+            coefs[i, :event.k] = coef
+            continue
+        y_full = oracle.column(i)
+        observed[i] = y_full
+        new_basis = extend_basis(basis, y_full)
+        if new_basis.dim == basis.dim:
+            # Numerically nothing new was added; keep the state as is.
+            continue
+        theta = angle_increment(event.theta_tilde,
+                                vector_subspace_angle(y_full, basis), cfg,
+                                new_basis.dim)
+        basis = new_basis
+        event, threshold, solver = _refresh(cfg, basis, theta, omega_rng)
+        budget_trace.append(event)
+        if basis.dim > coefs.shape[1]:
+            coefs = np.pad(coefs, ((0, 0), (0, basis.dim - coefs.shape[1])))
 
     return RecoveryResult(
         observations=oracle.entry_count,
         budget_trace=budget_trace,
-        bound_violations=max(0, k - cfg.r),  # one per update past r
+        bound_violations=max(0, basis.dim - cfg.r),  # one per update past r
         column_records=records,
         basis=basis,
-        coefs=coefs[:, :k],
+        coefs=coefs[:, :basis.dim],
         observed=observed,
     )
 
@@ -461,20 +463,17 @@ def recovery_errors(result, L):
 
     Works from the result's factors and never materializes ``M_tilde``:
     one block of rows at a time, in a reused buffer of about a megabyte,
-    the block of the recovered matrix is formed as the product of the
-    basis rows with the coefficients, the fully observed columns'
-    segments are written in, and the reference rows are subtracted; the
-    squares are summed per column.  A C-ordered reference (as generated
-    and as read from file) is read once, contiguously.
+    the block of the recovered matrix is written and the reference rows
+    are subtracted; the squares are summed per column.  A C-ordered
+    reference (as generated and as read from file) is read once,
+    contiguously.
 
     Raises ``ValueError`` when the reference's shape differs from the
     result's, or when any distance is not finite (a NaN or inf in the
     reference, or one beyond the float range).
     """
     L = np.asarray(L, dtype=float)
-    B = result.basis.matrix
-    C = result.coefs.T
-    m, n = B.shape[0], C.shape[1]
+    m, n = result.basis.ambient_dim, len(result.column_records)
     if L.shape != (m, n):
         raise ValueError("reference matrix shape does not match the result")
     height = _block_rows(n)
@@ -482,11 +481,9 @@ def recovery_errors(result, L):
     sq = np.zeros(n)
     with np.errstate(invalid="ignore", over="ignore"):
         for i0 in range(0, m, height):
-            block = buf[:min(height, m - i0)]
-            np.matmul(B[i0:i0 + height], C, out=block)
-            for i, y_full in result.observed.items():
-                block[:, i] = y_full[i0:i0 + height]
-            np.subtract(block, L[i0:i0 + height], out=block)
+            i1 = min(i0 + height, m)
+            block = result._write_rows(i0, i1, buf[:i1 - i0])
+            np.subtract(block, L[i0:i1], out=block)
             np.square(block, out=block)
             sq += block.sum(axis=0)
     if not np.isfinite(sq).all():

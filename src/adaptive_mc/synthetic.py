@@ -196,8 +196,7 @@ def generate_low_rank(m, n, r, rng, coherence_mode="incoherent",
     (L, basis) : (ndarray (m, n), OrthonormalBasis)
     """
     m, n, r = int(m), int(n), int(r)
-    if not 1 <= r <= min(m, n):
-        raise ValueError("rank r must satisfy 1 <= r <= min(m, n)")
+    _check_rank(r, m, n)
     if coherence_mode not in ("incoherent", "spiked"):
         raise ValueError(f"unknown coherence_mode {coherence_mode!r}")
     if coherence_mode == "spiked":
@@ -244,6 +243,13 @@ def generate_low_rank(m, n, r, rng, coherence_mode="incoherent",
     return basis.matrix @ coeff, basis
 
 
+def _check_rank(r, m, n):
+    """ValueError unless the rank ``r`` lies in [1, min(m, n)]."""
+    if not 1 <= r <= min(m, n):
+        raise ValueError(f"rank r must satisfy 1 <= r <= {min(m, n)} = "
+                         f"min(m, n) with m = {m}, n = {n}; got {r}")
+
+
 def _check_epsilon(epsilon):
     """``epsilon`` as a float; ValueError unless it lies in [0, 1/4)."""
     epsilon = float(epsilon)
@@ -275,9 +281,10 @@ def add_bounded_noise(L, epsilon, rng, true_basis, mode="sphere"):
     if mode not in ("sphere", "scaled-gaussian"):
         raise ValueError(f"unknown noise mode {mode!r}")
     m, n = L.shape
-    if true_basis.ambient_dim != m or not 1 <= true_basis.dim <= min(m, n):
+    if true_basis.ambient_dim != m:
         raise ValueError(f"true basis has shape {true_basis.matrix.shape}; "
-                         f"expected ({m}, r) with 1 <= r <= {min(m, n)}")
+                         f"expected ({m}, r)")
+    _check_rank(true_basis.dim, m, n)
     gen = as_generator(rng)
 
     if epsilon == 0.0:
@@ -326,7 +333,6 @@ def _check_instance(inst):
     values alone cannot see.
     """
     L = inst.L
-    m, n = L.shape
     r = inst.r
     col_norms = np.linalg.norm(L, axis=0)
     if np.max(np.abs(col_norms - 1.0)) > 1e-12:
@@ -335,9 +341,6 @@ def _check_instance(inst):
     if np.max(noise_norms) > inst.epsilon + 1e-12:
         raise AssertionError("noise column exceeds the epsilon bound")
     B = inst.true_basis.matrix
-    if B.shape[0] != m or not 1 <= r <= min(m, n):
-        raise AssertionError(f"true basis has shape {B.shape}; expected "
-                             f"({m}, r) with 1 <= r <= {min(m, n)}")
     C = B.T @ L
     # One m x n temporary for the rank part: E = B C - L, whose norm
     # equals ||L - B C||.
@@ -433,7 +436,9 @@ def save_instance(dirpath, inst, seed, noise_mode, coherence_mode="incoherent"):
 def load_instance(dirpath):
     """Load an instance bundle; returns (L, M, meta_dict).
 
-    Raises ``ValueError`` when ``meta`` lacks ``r`` or ``epsilon``.
+    Raises ``ValueError`` when ``L.mat`` and ``M.mat`` differ in shape,
+    when ``meta`` lacks ``r`` or ``epsilon``, or when its ``r`` is not an
+    integer in [1, min(m, n)].
     """
     L = read_matrix(os.path.join(dirpath, "L.mat"))
     M = read_matrix(os.path.join(dirpath, "M.mat"))
@@ -448,4 +453,8 @@ def load_instance(dirpath):
     for key in ("r", "epsilon"):
         if key not in meta:
             raise ValueError(f"{meta_path}: missing key '{key}'")
+    if M.shape != L.shape:
+        raise ValueError(f"{dirpath}: L.mat is {L.shape[0]}x{L.shape[1]} "
+                         f"but M.mat is {M.shape[0]}x{M.shape[1]}")
+    _check_rank(int(meta["r"]), *L.shape)
     return L, M, meta

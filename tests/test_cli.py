@@ -262,6 +262,33 @@ def test_run_floors_stored_mu_rounded_below_one(instance_dir, tmp_path):
     assert "mu_upper=1\n" in (out / "manifest").read_text()
 
 
+@pytest.mark.parametrize("r", ["1000000000000000", "61", "0"])
+def test_run_rejects_meta_rank_outside_shape(instance_dir, tmp_path, capsys,
+                                             r):
+    _rewrite_meta(instance_dir, "r", r)
+    out = tmp_path / "bad"
+    rc = cli.main(["run", "--instance", str(instance_dir), "--delta", "0.001",
+                   "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "1 <= r <= 60" in err
+    assert "Traceback" not in err
+    assert not (out / "manifest").exists()
+
+
+def test_run_rejects_bundle_with_mismatched_shapes(instance_dir, tmp_path,
+                                                   capsys):
+    M = synthetic.read_matrix(instance_dir / "M.mat")
+    synthetic.write_matrix(instance_dir / "M.mat", M[:, :-1])
+    out = tmp_path / "bad"
+    rc = cli.main(["run", "--instance", str(instance_dir), "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "M.mat is 60x79" in err
+    assert "Traceback" not in err
+    assert not (out / "manifest").exists()
+
+
 def test_run_is_thin_shell_over_library(instance_dir, tmp_path):
     out = tmp_path / "cli_run"
     cli.main(["run", "--instance", str(instance_dir), "--delta", "0.05",
@@ -335,14 +362,18 @@ def test_sweep_and_verify_run_on_calling_thread(tmp_path, monkeypatch):
     assert {ident for _, ident in calls} == {threading.get_ident()}
 
 
-@pytest.mark.parametrize("epsilons,deltas", [("0,0.3", "0.05"),
-                                             ("0", "0.05,0.2")])
+@pytest.mark.parametrize("ms,ns,rs,epsilons,deltas", [
+    pytest.param("30", "20", "2", "0,0.3", "0.05", id="0,0.3-0.05"),
+    pytest.param("30", "20", "2", "0", "0.05,0.2", id="0-0.05,0.2"),
+    # The rank-vs-shape rule: r = 4 fits m = 60 but not m = 3.
+    pytest.param("60,3", "80", "4", "0", "0.05", id="m60,3-r4"),
+])
 def test_sweep_rejects_bad_list_value_before_any_cell(
-        tmp_path, monkeypatch, capsys, epsilons, deltas):
+        tmp_path, monkeypatch, capsys, ms, ns, rs, epsilons, deltas):
     calls = []
     monkeypatch.setattr(cli, "_sweep_cell", lambda *a: calls.append(a))
     out = tmp_path / "sw"
-    rc = cli.main(["sweep", "--m", "30", "--n", "20", "--r", "2",
+    rc = cli.main(["sweep", "--m", ms, "--n", ns, "--r", rs,
                    "--epsilon", epsilons, "--delta", deltas,
                    "--out", str(out)])
     assert rc == 2
@@ -351,6 +382,17 @@ def test_sweep_rejects_bad_list_value_before_any_cell(
     assert "Traceback" not in err
     assert calls == []
     assert not (out / "sweep.csv").exists()
+
+
+def test_sweep_runs_full_rank_cells(tmp_path):
+    # At r = m the true basis spans the whole space: its coherence is 1,
+    # which rounding in the row norms must not take below 1.
+    for seed in range(8):
+        out = tmp_path / f"sw{seed}"
+        assert cli.main(["sweep", "--m", "3", "--n", "5", "--r", "3",
+                         "--epsilon", "0", "--trials", "5",
+                         "--seed", str(seed), "--out", str(out)]) == 0
+        assert len(read_csv(out / "sweep.csv")) == 5
 
 
 def test_single_cell_sweep_matches_library(tmp_path):

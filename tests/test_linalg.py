@@ -164,8 +164,9 @@ def test_restricted_residual_against_normal_equations():
 def test_restricted_lstsq_flags_degeneracy():
     b = random_basis(3, 6, 3)
     # One sampled row cannot pin down three coefficients.
-    coef, residual, degenerate = RestrictedSolver(b, [2]).fit([1.0])
-    assert degenerate
+    solver = RestrictedSolver(b, [2])
+    coef, residual = solver.fit([1.0])
+    assert solver.degenerate
     assert np.isfinite(residual)
     assert coef.shape == (3,)
 
@@ -173,8 +174,9 @@ def test_restricted_lstsq_flags_degeneracy():
 def test_restricted_lstsq_full_rows_not_degenerate():
     b = random_basis(4, 6, 3)
     y = np.arange(6.0)
-    _, residual, degenerate = RestrictedSolver(b, np.arange(6)).fit(y)
-    assert not degenerate
+    solver = RestrictedSolver(b, np.arange(6))
+    _, residual = solver.fit(y)
+    assert not solver.degenerate
     full = np.linalg.norm(y - project(b, y))
     assert residual == pytest.approx(full, abs=1e-12)
 
@@ -195,26 +197,26 @@ def test_solver_fit_matches_lstsq(case):
         omega = np.array([2, 4, 6])
     y = gen.standard_normal(omega.size)
     solver = RestrictedSolver(b, omega)
-    coef, residual, degenerate = solver.fit(y)
+    coef, residual = solver.fit(y)
     a = b.matrix[omega, :]
     ref_coef, _, rank, _ = np.linalg.lstsq(a, y, rcond=LSTSQ_RCOND)
     np.testing.assert_allclose(coef, ref_coef, rtol=0, atol=1e-12)
     assert residual == pytest.approx(np.linalg.norm(y - a @ ref_coef),
                                      rel=0, abs=1e-12)
-    assert degenerate == (rank < b.dim)
-    assert degenerate == (case != "full-rank")
-    np.testing.assert_allclose(solver.lift(coef), b.matrix @ ref_coef,
+    assert solver.degenerate == (rank < b.dim)
+    assert solver.degenerate == (case != "full-rank")
+    np.testing.assert_allclose(b.matrix @ coef, b.matrix @ ref_coef,
                                rtol=0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
-# reconstruction: RestrictedSolver.lift of a fit
+# reconstruction: the basis times a fit's coefficients
 # ---------------------------------------------------------------------------
 
 def test_reconstruct_axis():
     b = orthonormalize([e(0, 3)])
     solver = RestrictedSolver(b, [0])
-    np.testing.assert_allclose(solver.lift(solver.fit([7.0])[0]),
+    np.testing.assert_allclose(b.matrix @ solver.fit([7.0])[0],
                                [7.0, 0.0, 0.0])
 
 
@@ -222,7 +224,7 @@ def test_reconstruct_hand_value():
     # c = (y . u_omega) / ||u_omega||^2 with u_omega = (1,1)/sqrt(3).
     b = orthonormalize([np.ones(3)])
     solver = RestrictedSolver(b, [0, 1])
-    got = solver.lift(solver.fit([1.0, 0.0])[0])
+    got = b.matrix @ solver.fit([1.0, 0.0])[0]
     np.testing.assert_allclose(got, [0.5, 0.5, 0.5], atol=1e-12)
 
 
@@ -232,7 +234,7 @@ def test_reconstruct_exact_for_in_span_columns():
     y = b.matrix @ gen.standard_normal(3)
     omega = np.sort(gen.choice(12, size=6, replace=False))
     solver = RestrictedSolver(b, omega)
-    got = solver.lift(solver.fit(y[omega])[0])
+    got = b.matrix @ solver.fit(y[omega])[0]
     np.testing.assert_allclose(got, y, atol=1e-9)
 
 
@@ -257,6 +259,15 @@ def test_coherence_mixed_basis():
 def test_coherence_empty_rejected():
     with pytest.raises(ValueError):
         coherence(OrthonormalBasis.empty(4))
+
+
+@pytest.mark.parametrize("m", [2, 3, 5])
+def test_coherence_of_full_space_is_floored_at_one(m):
+    # Every row of an m x m orthonormal basis has norm 1; rounding must not
+    # put the coherence below its lower bound, singly or stacked.
+    bases = [random_basis(seed, m, m).matrix for seed in range(40)]
+    assert min(coherence(b) for b in bases) >= 1.0
+    assert coherence(np.stack(bases)).min() >= 1.0
 
 
 def test_vector_coherence_matches_subspace_coherence():

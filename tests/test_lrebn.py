@@ -119,32 +119,31 @@ def test_budget_equals_independent_formula():
 def test_threshold_frozen_value():
     thr = residual_threshold(200, 1000, 3, 0.01, 0.05)
     assert thr == pytest.approx(0.12347700225711278, abs=1e-15)
-    cfg = cfg_for(epsilon=0.01)
-    assert column_test(0.2, 200, 1000, 3, cfg, 0.05)
-    assert not column_test(0.1, 200, 1000, 3, cfg, 0.05)
+    assert column_test(0.2, thr)
+    assert not column_test(0.1, thr)
 
 
 def test_threshold_zero_at_k_zero():
-    assert residual_threshold(50, 100, 0, 0.0, 0.0) == 0.0
-    cfg = cfg_for(epsilon=0.0)
-    assert not column_test(0.0, 50, 100, 0, cfg, 0.0)
-    assert column_test(1e-6, 50, 100, 0, cfg, 0.0)
+    thr = residual_threshold(50, 100, 0, 0.0, 0.0)
+    assert thr == 0.0
+    assert not column_test(0.0, thr)
+    assert column_test(1e-6, thr)
 
 
 def test_noiseless_test_reduces_to_positivity():
-    cfg = cfg_for(epsilon=0.0)
-    assert residual_threshold(40, 100, 3, 0.0, 0.0) == 0.0
+    thr = residual_threshold(40, 100, 3, 0.0, 0.0)
+    assert thr == 0.0
     # Positivity above the floor: residuals up to RESIDUAL_FLOOR count
     # as least-squares round-off, not as a new direction.
-    assert not column_test(1e-12, 40, 100, 3, cfg, 0.0)
-    assert not column_test(RESIDUAL_FLOOR, 40, 100, 3, cfg, 0.0)
-    assert column_test(1e-6, 40, 100, 3, cfg, 0.0)
-    assert not column_test(0.0, 40, 100, 3, cfg, 0.0)
+    assert not column_test(1e-12, thr)
+    assert not column_test(RESIDUAL_FLOOR, thr)
+    assert column_test(1e-6, thr)
+    assert not column_test(0.0, thr)
 
 
 def test_negative_residual_rejected():
     with pytest.raises(ValueError):
-        column_test(-1.0, 10, 100, 1, cfg_for(), 0.0)
+        column_test(-1.0, residual_threshold(10, 100, 1, 0.01, 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -341,18 +340,33 @@ def test_run_builds_one_solver_per_budget_event(monkeypatch):
     assert built == [event.k for event in result.budget_trace]
 
 
+def test_run_sets_aside_at_most_m_coefficient_columns():
+    # k never exceeds m, so a rank far above m sets aside no more than m
+    # coefficient columns (at 10**15 the old n x r array failed to allocate).
+    # With every budget clamped to m, r enters no decision.
+    inst = make_instance(20, 10, 2, 0.01, seed=3)
+    runs = [run_lrebn(ObservationOracle(inst.M),
+                      cfg_for(epsilon=0.01, delta=0.001, r=r, seed=4))
+            for r in (2, 10 ** 15)]
+    assert runs[1].column_records == runs[0].column_records
+    assert runs[1].coefs.shape == (10, runs[1].k_final)
+    np.testing.assert_array_equal(runs[1].M_tilde, runs[0].M_tilde)
+
+
 @pytest.mark.parametrize("epsilon", [0.0, 0.05])
 def test_run_modes_follow_column_test(epsilon):
     # The run decides through column_test itself: a column is observed in
-    # full exactly when the test fires on its recorded decision state.
+    # full exactly when the test fires on its recorded threshold, and that
+    # threshold is the one of its recorded decision state.
     m = 60
     inst = make_instance(m, 90, 3, epsilon, 12)
     cfg = cfg_for(epsilon=epsilon, r=3, mu=coherence(inst.true_basis), seed=5)
     result = run_lrebn(ObservationOracle(inst.M), cfg)
     assert set(result.column_mode) == {"FullyObserved", "Reconstructed"}
     for rec in result.column_records:
-        fired = column_test(rec.residual, rec.d, m, rec.k, cfg,
-                            rec.theta_tilde)
+        assert rec.threshold == residual_threshold(
+            rec.d, m, rec.k, epsilon, rec.theta_tilde), rec
+        fired = column_test(rec.residual, rec.threshold)
         assert (rec.mode == "FullyObserved") == fired, rec
 
 
