@@ -3,11 +3,10 @@ Synthetic problem instances and the observation oracle.
 
 An instance is a hidden matrix ``M = L + zeta`` where ``L`` has rank r and
 unit-norm columns and every noise column satisfies ``||zeta_col||_2 <=
-epsilon`` with ``0 <= epsilon < 1/4``.  The rank r is the dimension of
-the instance's true basis, which ``add_bounded_noise`` requires.  The
-algorithm never touches ``M`` directly; it reads entries through an
-``ObservationOracle`` that counts each revealed entry exactly once, which
-is what makes observation-count claims measurable.
+epsilon`` with ``0 <= epsilon < 1/4``; an instance keeps ``L`` and ``M``
+and reads the noise as ``M - L``.  The rank r is the dimension of its true
+basis.  The algorithm reads ``M`` only through an ``ObservationOracle``,
+whose revealed mask counts each entry once: observation counts are exact.
 
 Also provides the plain-text matrix file format and instance bundles
 (directories holding ``L.mat``, ``M.mat`` and a ``meta`` key=value file).
@@ -59,8 +58,6 @@ class ProblemInstance:
     ----------
     L : ndarray (m, n)
         Ground-truth rank-r matrix with unit-norm columns.
-    zeta : ndarray (m, n)
-        Noise; every column has norm at most ``epsilon``.
     M : ndarray (m, n)
         The observable matrix ``L + zeta``.
     true_basis : OrthonormalBasis
@@ -69,10 +66,14 @@ class ProblemInstance:
     """
 
     L: np.ndarray
-    zeta: np.ndarray
     M: np.ndarray
     true_basis: OrthonormalBasis
     epsilon: float
+
+    @property
+    def zeta(self):
+        """The noise ``M - L``, built on every read."""
+        return self.M - self.L
 
     @property
     def shape(self):
@@ -89,8 +90,8 @@ class ObservationOracle:
 
     Observations are purchases: re-reading an already revealed entry does
     not increase the count, and revealing a full column after a partial
-    read only adds the remainder.  Counter updates are serialized so that
-    concurrent reads of distinct columns cannot lose counts.
+    read only adds the remainder.  ``entry_count`` counts the revealed
+    mask; the lock serializes the mask's writes and that count.
 
     Every read is confined to one column, so the hidden matrix and the
     revealed mask are stored column-major: each read gathers from
@@ -118,7 +119,6 @@ class ObservationOracle:
         store.flags.writeable = False
         self._hidden = store
         self._revealed = np.zeros(hidden.shape, dtype=bool, order="F")
-        self._count = 0
         self._lock = threading.Lock()
 
     @property
@@ -128,7 +128,8 @@ class ObservationOracle:
     @property
     def entry_count(self):
         """Number of distinct entries revealed so far."""
-        return self._count
+        with self._lock:
+            return int(np.count_nonzero(self._revealed))
 
     def _check_col(self, j):
         if not 0 <= j < self._hidden.shape[1]:
@@ -140,9 +141,7 @@ class ObservationOracle:
             raise IndexError(f"row index {i} out of range")
         self._check_col(j)
         with self._lock:
-            if not self._revealed[i, j]:
-                self._revealed[i, j] = True
-                self._count += 1
+            self._revealed[i, j] = True
         return float(self._hidden[i, j])
 
     def entries(self, omega, j):
@@ -155,19 +154,15 @@ class ObservationOracle:
         """
         self._check_col(j)
         omega = _check_index_set(omega, self._hidden.shape[0], IndexError)
-        revealed = self._revealed[:, j]
         with self._lock:
-            self._count += int(omega.size - np.count_nonzero(revealed[omega]))
-            revealed[omega] = True
+            self._revealed[:, j][omega] = True
         return self._hidden[:, j][omega]
 
     def column(self, j):
         """Reveal and return the full column ``j``."""
         self._check_col(j)
-        revealed = self._revealed[:, j]
         with self._lock:
-            self._count += int(revealed.size - np.count_nonzero(revealed))
-            revealed[:] = True
+            self._revealed[:, j] = True
         return self._hidden[:, j].copy()
 
 
@@ -301,10 +296,9 @@ def add_bounded_noise(L, epsilon, rng, true_basis, mode="sphere"):
         else:
             radii = gen.uniform(0.0, epsilon, size=n)
             zeta *= radii / norms
+    M = np.add(zeta, L, out=zeta)  # in the noise buffer; equals L + zeta
 
-    inst = ProblemInstance(
-        L=L, zeta=zeta, M=L + zeta, true_basis=true_basis, epsilon=epsilon,
-    )
+    inst = ProblemInstance(L=L, M=M, true_basis=true_basis, epsilon=epsilon)
     _check_instance(inst)
     return inst
 
@@ -312,11 +306,12 @@ def add_bounded_noise(L, epsilon, rng, true_basis, mode="sphere"):
 def _check_instance(inst):
     """Assert the model invariants after generation.
 
-    Columns of ``L`` must be unit norm and noise columns at most
-    ``epsilon`` long.  The rank part is proved in O(m n r) from the true
-    basis ``B`` (m x r) instead of a full SVD of ``L``.  With
-    ``C = B^T L``, ``E = L - B C`` and ``g = ||B^T B - I||_F``, Weyl's
-    inequality gives, for any ``B`` with r columns:
+    Columns of ``L`` must be unit norm and noise columns ``M - L`` at most
+    ``epsilon`` long; every comparison is negated so that a NaN fails it.
+    The rank part is proved in O(m n r) from the true basis ``B`` (m x r)
+    instead of a full SVD of ``L``.  With ``C = B^T L``, ``E = L - B C``
+    and ``g = ||B^T B - I||_F``, Weyl's inequality gives, for any ``B``
+    with r columns:
 
     * ``sigma_{r+1}(L) <= ||E||_2 <= ||E||_F``, since ``B C`` has rank at
       most r.  Rejecting ``||E||_F > 1e-9`` therefore rejects every
@@ -335,10 +330,15 @@ def _check_instance(inst):
     L = inst.L
     r = inst.r
     col_norms = np.linalg.norm(L, axis=0)
-    if np.max(np.abs(col_norms - 1.0)) > 1e-12:
+    if not np.max(np.abs(col_norms - 1.0)) <= 1e-12:
         raise AssertionError("ground-truth columns are not unit norm")
-    noise_norms = np.linalg.norm(inst.zeta, axis=0)
-    if np.max(noise_norms) > inst.epsilon + 1e-12:
+    # Noise norms from row blocks of M - L: no m x n temporary.
+    noise_sq = np.zeros(L.shape[1])
+    height = _block_rows(L.shape[1])
+    for i0 in range(0, L.shape[0], height):
+        z = inst.M[i0:i0 + height] - L[i0:i0 + height]
+        noise_sq += np.einsum("ij,ij->j", z, z)
+    if not np.sqrt(np.max(noise_sq)) <= inst.epsilon + 1e-12:
         raise AssertionError("noise column exceeds the epsilon bound")
     B = inst.true_basis.matrix
     C = B.T @ L
@@ -347,7 +347,6 @@ def _check_instance(inst):
     E = B @ C
     E -= L
     resid = np.linalg.norm(E)
-    # Negated comparisons so that a NaN fails the check.
     if not resid <= 1e-9:
         raise AssertionError("generated matrix has rank above r or the "
                              "true basis does not span it")
@@ -434,11 +433,15 @@ def save_instance(dirpath, inst, seed, noise_mode, coherence_mode="incoherent"):
 
 
 def load_instance(dirpath):
-    """Load an instance bundle; returns (L, M, meta_dict).
+    """Load an instance bundle; returns (L, M, meta_dict), the meta values
+    as strings.
 
-    Raises ``ValueError`` when ``L.mat`` and ``M.mat`` differ in shape,
-    when ``meta`` lacks ``r`` or ``epsilon``, or when its ``r`` is not an
-    integer in [1, min(m, n)].
+    Raises ``ValueError`` when ``L.mat`` and ``M.mat`` differ in shape or
+    when ``meta`` breaks a rule: every non-blank line is ``key=value``
+    with a key not seen before; ``r`` and ``epsilon`` are present; ``r``,
+    ``m`` and ``n`` parse as integers, ``epsilon`` and ``mu`` as numbers;
+    ``m`` and ``n`` equal the matrices' shape; ``r`` lies in
+    [1, min(m, n)].  Each meta error names the meta file.
     """
     L = read_matrix(os.path.join(dirpath, "L.mat"))
     M = read_matrix(os.path.join(dirpath, "M.mat"))
@@ -447,14 +450,33 @@ def load_instance(dirpath):
     with open(meta_path, "r", encoding="ascii") as fh:
         for line in fh:
             line = line.strip()
-            if line:
-                key, _, value = line.partition("=")
-                meta[key] = value
+            if not line:
+                continue
+            key, eq, value = line.partition("=")
+            if not eq:
+                raise ValueError(f"{meta_path}: line {line!r} is not "
+                                 f"key=value")
+            if key in meta:
+                raise ValueError(f"{meta_path}: key '{key}' appears twice")
+            meta[key] = value
     for key in ("r", "epsilon"):
         if key not in meta:
             raise ValueError(f"{meta_path}: missing key '{key}'")
+    for key, kind in (("m", int), ("n", int), ("r", int),
+                      ("epsilon", float), ("mu", float)):
+        if key in meta:
+            try:
+                kind(meta[key])
+            except ValueError:
+                noun = "an integer" if kind is int else "a number"
+                raise ValueError(f"{meta_path}: {key} must be {noun}; "
+                                 f"got {meta[key]!r}") from None
     if M.shape != L.shape:
         raise ValueError(f"{dirpath}: L.mat is {L.shape[0]}x{L.shape[1]} "
                          f"but M.mat is {M.shape[0]}x{M.shape[1]}")
+    for key, size in zip(("m", "n"), L.shape):
+        if key in meta and int(meta[key]) != size:
+            raise ValueError(f"{meta_path}: {key}={meta[key]} but the "
+                             f"matrices are {L.shape[0]}x{L.shape[1]}")
     _check_rank(int(meta["r"]), *L.shape)
     return L, M, meta

@@ -229,16 +229,52 @@ def _rewrite_meta(instance_dir, key, value=None):
     path.write_text("\n".join(lines) + "\n")
 
 
-@pytest.mark.parametrize("key", ["r", "epsilon"])
-def test_run_rejects_meta_without_key(instance_dir, tmp_path, capsys, key):
-    _rewrite_meta(instance_dir, key)
+def _append_meta(instance_dir, line):
+    with open(instance_dir / "meta", "a") as fh:
+        fh.write(line + "\n")
+
+
+@pytest.mark.parametrize("key, value, message", [
+    pytest.param("r", None, "missing key 'r'", id="r"),
+    pytest.param("epsilon", None, "missing key 'epsilon'", id="epsilon"),
+    pytest.param("r", "2.5", "r must be an integer; got '2.5'", id="r-2.5"),
+    pytest.param("epsilon", "abc", "epsilon must be a number; got 'abc'",
+                 id="epsilon-abc"),
+    pytest.param("mu", "abc", "mu must be a number; got 'abc'", id="mu-abc"),
+    pytest.param("n", "80.0", "n must be an integer; got '80.0'",
+                 id="n-80.0"),
+])
+def test_run_rejects_meta_without_key(instance_dir, tmp_path, capsys, key,
+                                      value, message):
+    """A missing or unparsable meta value is named with its file and key."""
+    _rewrite_meta(instance_dir, key, value)
     out = tmp_path / "bad"
     rc = cli.main(["run", "--instance", str(instance_dir), "--out", str(out)])
     assert rc == 2
     err = capsys.readouterr().err
-    assert f"missing key '{key}'" in err
-    assert str(instance_dir / "meta") in err
-    assert "Traceback" not in err
+    assert err == f"error: {instance_dir / 'meta'}: {message}\n", err
+    assert not (out / "manifest").exists()
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda d: _append_meta(d, "m=5"), "key 'm' appears twice"),
+    (lambda d: _append_meta(d, "r=4"), "key 'r' appears twice"),
+    (lambda d: _append_meta(d, "garbage line"),
+     "line 'garbage line' is not key=value"),
+    (lambda d: _rewrite_meta(d, "m", "5"), "m=5 but the matrices are 60x80"),
+    (lambda d: _rewrite_meta(d, "n", "79"),
+     "n=79 but the matrices are 60x80"),
+], ids=["repeated-m", "repeated-r-same-value", "no-equals", "m-mismatch",
+        "n-mismatch"])
+def test_run_rejects_meta_breaking_a_rule(instance_dir, tmp_path, capsys,
+                                          edit, message):
+    """Each meta key has one owner: one line, agreeing with the matrices."""
+    edit(instance_dir)
+    out = tmp_path / "bad"
+    rc = cli.main(["run", "--instance", str(instance_dir), "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {instance_dir / 'meta'}: {message}\n", err
     assert not (out / "manifest").exists()
 
 

@@ -100,6 +100,28 @@ def test_scaled_gaussian_noise_within_radius():
     assert norms.std() > 0
 
 
+def test_zeta_is_m_minus_l():
+    inst = make_instance(20, 25, 3, 0.05, seed=13)
+    np.testing.assert_array_equal(inst.zeta, inst.M - inst.L)
+    with pytest.raises(TypeError, match="zeta"):
+        ProblemInstance(L=inst.L, zeta=inst.zeta, M=inst.M,
+                        true_basis=inst.true_basis, epsilon=inst.epsilon)
+
+
+def test_instance_holds_only_l_and_m():
+    # numpy reports its buffers to tracemalloc.  Once built, an instance
+    # holds two m x n arrays, L and M; the noise is not kept beside them.
+    m, n = 2000, 600
+    tracemalloc.start()
+    try:
+        inst = make_instance(m, n, 3, 0.01, seed=15)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert inst.M.shape == (m, n)
+    assert held <= 2 * 8 * m * n + 1_000_000, held
+
+
 def test_epsilon_bound_enforced():
     L, basis = generate_low_rank(10, 10, 2, RngState(11))
     with pytest.raises(ValueError, match="epsilon must be < 0.25"):
@@ -174,7 +196,7 @@ def _low_rank(gen, m, n, r):
 
 def _instance(L, basis, zeta=None, epsilon=0.0):
     zeta = np.zeros_like(L) if zeta is None else zeta
-    return ProblemInstance(L=L, zeta=zeta, M=L + zeta,
+    return ProblemInstance(L=L, M=L + zeta,
                            true_basis=OrthonormalBasis(basis, check=False),
                            epsilon=epsilon)
 
@@ -213,6 +235,22 @@ def test_check_rejects_noise_above_epsilon():
     zeta[:, 3] *= 1.0 + 1e-6
     with pytest.raises(AssertionError, match="epsilon bound"):
         _check_instance(_instance(L, basis, zeta=zeta, epsilon=0.05))
+
+
+def test_check_rejects_nan_noise():
+    gen = np.random.default_rng(2)
+    L, basis = _low_rank(gen, 30, 40, 4)
+    zeta = 0.05 * _unit_columns(gen.standard_normal((30, 40)))
+    zeta[11, 5] = np.nan
+    with pytest.raises(AssertionError, match="epsilon bound"):
+        _check_instance(_instance(L, basis, zeta=zeta, epsilon=0.05))
+
+
+def test_check_rejects_nan_in_l_as_not_unit_norm():
+    L, basis = _low_rank(np.random.default_rng(1), 30, 40, 4)
+    L[3, 7] = np.nan
+    with pytest.raises(AssertionError, match="unit norm"):
+        _check_instance(_instance(L, basis))
 
 
 def test_check_rejects_hidden_extra_direction():
