@@ -250,7 +250,9 @@ class RestrictedSolver:
     Attributes
     ----------
     omega : ndarray of intp
-        The validated, strictly increasing row index set.
+        The validated, strictly increasing row index set: a private,
+        read-only array that owns its data, so an ``ObservationOracle``
+        can trust it without validating it again.
     degenerate : bool
         True when ``B_omega`` is rank-deficient below the basis
         dimension, i.e. the sampled rows do not pin down the fit.
@@ -259,7 +261,11 @@ class RestrictedSolver:
     __slots__ = ("omega", "degenerate", "_restricted", "_pinv")
 
     def __init__(self, basis, omega):
-        self.omega = _check_index_set(omega, basis.ambient_dim)
+        checked = _check_index_set(omega, basis.ambient_dim)
+        if checked is omega or not checked.flags.owndata:
+            checked = checked.copy()
+        checked.flags.writeable = False
+        self.omega = checked
         a = basis.matrix[self.omega, :]
         if basis.dim == 0:
             rank = 0

@@ -391,11 +391,25 @@ def _refresh(cfg, basis, theta_tilde, omega_rng):
 def run_lrebn(oracle, cfg):
     """Run the adaptive completion loop against an observation oracle.
 
-    The oracle only needs ``shape``, ``entries(omega, j)``,
-    ``column(j)`` and ``entry_count``.  Columns are processed in natural
-    order; the row pattern is redrawn only after a subspace update unless
-    ``cfg.omega_redraw`` says otherwise.  Entries are read exclusively
-    through Omega-restricted and full-column oracle calls.
+    The oracle protocol is four members, and the run uses no other:
+
+    ``shape``
+        ``(m, n)``.
+    ``entries(omega, j)``
+        The entries of column ``j`` at rows ``omega``, in that order.
+        The run passes its solver's pattern: a strictly increasing
+        ``intp`` array, read-only and owning its data, and the same
+        object for every column until the next redraw.
+    ``column(j)``
+        The full column ``j``, as an array the run keeps.
+    ``entry_count``
+        The number of distinct entries read so far; read once, at the
+        end.
+
+    Columns are processed in natural order; the row pattern is redrawn
+    only after a subspace update unless ``cfg.omega_redraw`` says
+    otherwise.  Entries are read exclusively through Omega-restricted
+    and full-column oracle calls.
 
     Between two updates every column is decided, and recorded, at one
     state: the latest ``SubspaceEvent`` and the threshold computed from it.

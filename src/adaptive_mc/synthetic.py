@@ -6,7 +6,8 @@ unit-norm columns and every noise column satisfies ``||zeta_col||_2 <=
 epsilon`` with ``0 <= epsilon < 1/4``; an instance keeps ``L`` and ``M``
 and reads the noise as ``M - L``.  The rank r is the dimension of its true
 basis.  The algorithm reads ``M`` only through an ``ObservationOracle``,
-whose revealed mask counts each entry once: observation counts are exact.
+whose per-column read records count each entry once: observation counts
+are exact.
 
 Also provides the plain-text matrix file format and instance bundles
 (directories holding ``L.mat``, ``M.mat`` and a ``meta`` key=value file).
@@ -90,12 +91,29 @@ class ObservationOracle:
 
     Observations are purchases: re-reading an already revealed entry does
     not increase the count, and revealing a full column after a partial
-    read only adds the remainder.  ``entry_count`` counts the revealed
-    mask; the lock serializes the mask's writes and that count.
+    read only adds the remainder.  The oracle keeps no counter.  Its one
+    fact is a read record per column: the tuple of row-index arrays read
+    so far, or ``None`` once the column was read in full (by ``column`` or
+    by a read of all m rows).  ``entry_count`` sums the records: m for a
+    full column, the size of a single read, the size of the union of
+    several.  The lock serializes the records' writes and that sum.
 
-    Every read is confined to one column, so the hidden matrix and the
-    revealed mask are stored column-major: each read gathers from
-    contiguous memory.
+    A record holds no copy of an index array that cannot change: an
+    ``omega`` that is read-only and owns its data is kept by reference,
+    as is the fresh array the validation makes from a list or another
+    integer dtype; any other ``omega`` is copied.  A run with the
+    on-update redraw therefore adds only references, while per-column
+    redraw keeps 8 bytes per entry read through a distinct ``omega``.
+
+    Every ``omega`` is validated before anything is charged, with one
+    exception: the last validated ``omega`` that is read-only and owns its
+    data, passed again as the same object, is not validated again.  Such
+    an array can change only if someone deliberately re-enables writes on
+    it.  ``run_lrebn`` passes the read-only pattern its
+    ``RestrictedSolver`` validated, so a run validates each pattern once.
+
+    Every read is confined to one column, so the hidden matrix is stored
+    column-major: each read gathers from contiguous memory.
 
     The oracle keeps a private, read-only copy: later writes to the
     caller's array do not change what it reveals.  The copy is made one
@@ -118,7 +136,8 @@ class ObservationOracle:
                 raise ValueError("hidden matrix entries must be finite")
         store.flags.writeable = False
         self._hidden = store
-        self._revealed = np.zeros(hidden.shape, dtype=bool, order="F")
+        self._reads = [()] * hidden.shape[1]   # per column; None = full
+        self._checked = None     # last validated read-only omega
         self._lock = threading.Lock()
 
     @property
@@ -128,20 +147,32 @@ class ObservationOracle:
     @property
     def entry_count(self):
         """Number of distinct entries revealed so far."""
+        m = self._hidden.shape[0]
+        # A single read counts its own size: an index set has no repeats.
         with self._lock:
-            return int(np.count_nonzero(self._revealed))
+            return sum(m if rows is None
+                       else np.unique(np.concatenate(rows)).size
+                       if len(rows) > 1 else sum(a.size for a in rows)
+                       for rows in self._reads)
 
     def _check_col(self, j):
         if not 0 <= j < self._hidden.shape[1]:
             raise IndexError(f"column index {j} out of range")
+
+    def _record(self, rows, j):
+        """Add the immutable row set ``rows`` to column ``j``'s record."""
+        full = rows.size == self._hidden.shape[0]
+        with self._lock:
+            held = self._reads[j]
+            if held is not None:
+                self._reads[j] = None if full else held + (rows,)
 
     def entry(self, i, j):
         """Reveal and return the entry at (i, j)."""
         if not 0 <= i < self._hidden.shape[0]:
             raise IndexError(f"row index {i} out of range")
         self._check_col(j)
-        with self._lock:
-            self._revealed[i, j] = True
+        self._record(np.array([i], dtype=np.intp), j)
         return float(self._hidden[i, j])
 
     def entries(self, omega, j):
@@ -153,16 +184,22 @@ class ObservationOracle:
         Nothing is charged for a rejected read.
         """
         self._check_col(j)
-        omega = _check_index_set(omega, self._hidden.shape[0], IndexError)
-        with self._lock:
-            self._revealed[:, j][omega] = True
-        return self._hidden[:, j][omega]
+        m = self._hidden.shape[0]
+        rows = omega
+        if rows is None or rows is not self._checked:
+            rows = _check_index_set(omega, m, IndexError)
+            if rows.flags.owndata and not rows.flags.writeable:
+                self._checked = rows     # nothing can change it unseen
+            elif rows.size < m and (rows is omega or not rows.flags.owndata):
+                rows = rows.copy()
+        self._record(rows, j)
+        return self._hidden[:, j][rows]
 
     def column(self, j):
         """Reveal and return the full column ``j``."""
         self._check_col(j)
         with self._lock:
-            self._revealed[:, j] = True
+            self._reads[j] = None
         return self._hidden[:, j].copy()
 
 
@@ -204,6 +241,10 @@ def generate_low_rank(m, n, r, rng, coherence_mode="incoherent",
                 f"spike_weight must be a finite number in [0, 1]; "
                 f"got {spike_weight}")
     gen = as_generator(rng)
+    # The m x n output comes first: allocated after the small draws below,
+    # it finds a freed m x n block (an earlier oracle's store, say) split
+    # by them and takes fresh memory instead.
+    L = np.empty((m, n))
 
     basis = None
     for _ in range(64):
@@ -235,7 +276,7 @@ def generate_low_rank(m, n, r, rng, coherence_mode="incoherent",
         norms = np.linalg.norm(coeff, axis=0)
     coeff /= norms
 
-    return basis.matrix @ coeff, basis
+    return np.matmul(basis.matrix, coeff, out=L), basis
 
 
 def _check_rank(r, m, n):
@@ -332,21 +373,23 @@ def _check_instance(inst):
     col_norms = np.linalg.norm(L, axis=0)
     if not np.max(np.abs(col_norms - 1.0)) <= 1e-12:
         raise AssertionError("ground-truth columns are not unit norm")
-    # Noise norms from row blocks of M - L: no m x n temporary.
-    noise_sq = np.zeros(L.shape[1])
-    height = _block_rows(L.shape[1])
-    for i0 in range(0, L.shape[0], height):
-        z = inst.M[i0:i0 + height] - L[i0:i0 + height]
-        noise_sq += np.einsum("ij,ij->j", z, z)
-    if not np.sqrt(np.max(noise_sq)) <= inst.epsilon + 1e-12:
-        raise AssertionError("noise column exceeds the epsilon bound")
     B = inst.true_basis.matrix
     C = B.T @ L
-    # One m x n temporary for the rank part: E = B C - L, whose norm
-    # equals ||L - B C||.
-    E = B @ C
-    E -= L
-    resid = np.linalg.norm(E)
+    # Noise norms from row blocks of M - L, and ||L - B C||_F from row
+    # blocks of B C - L: no m x n temporary.
+    noise_sq = np.zeros(L.shape[1])
+    resid_sq = 0.0
+    height = _block_rows(L.shape[1])
+    for i0 in range(0, L.shape[0], height):
+        rows = slice(i0, i0 + height)
+        z = inst.M[rows] - L[rows]
+        noise_sq += np.einsum("ij,ij->j", z, z)
+        e = B[rows] @ C
+        e -= L[rows]
+        resid_sq += np.vdot(e, e)
+    if not np.sqrt(np.max(noise_sq)) <= inst.epsilon + 1e-12:
+        raise AssertionError("noise column exceeds the epsilon bound")
+    resid = np.sqrt(resid_sq)
     if not resid <= 1e-9:
         raise AssertionError("generated matrix has rank above r or the "
                              "true basis does not span it")
@@ -478,5 +521,8 @@ def load_instance(dirpath):
         if key in meta and int(meta[key]) != size:
             raise ValueError(f"{meta_path}: {key}={meta[key]} but the "
                              f"matrices are {L.shape[0]}x{L.shape[1]}")
-    _check_rank(int(meta["r"]), *L.shape)
+    try:
+        _check_rank(int(meta["r"]), *L.shape)
+    except ValueError as exc:
+        raise ValueError(f"{meta_path}: {exc}") from None
     return L, M, meta

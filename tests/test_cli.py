@@ -307,8 +307,9 @@ def test_run_rejects_meta_rank_outside_shape(instance_dir, tmp_path, capsys,
                    "--out", str(out)])
     assert rc == 2
     err = capsys.readouterr().err
-    assert "1 <= r <= 60" in err
-    assert "Traceback" not in err
+    assert err == (f"error: {instance_dir / 'meta'}: rank r must satisfy "
+                   f"1 <= r <= 60 = min(m, n) with m = 60, n = 80; "
+                   f"got {r}\n"), err
     assert not (out / "manifest").exists()
 
 

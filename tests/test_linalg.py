@@ -181,6 +181,25 @@ def test_restricted_lstsq_full_rows_not_degenerate():
     assert residual == pytest.approx(full, abs=1e-12)
 
 
+@pytest.mark.parametrize("kind", ["intp", "masked", "int32", "list"])
+def test_solver_keeps_a_private_read_only_pattern(kind):
+    # The solver's pattern is read-only and owns its data, so an oracle
+    # may trust it; the caller's array is neither frozen nor shared.  A
+    # masked array converts to a view of the caller's data.
+    rows = np.array([0, 2, 3, 5], dtype=np.intp)
+    given_omega = {"intp": rows, "masked": np.ma.masked_array(rows.copy()),
+                   "int32": rows.astype(np.int32),
+                   "list": rows.tolist()}[kind]
+    solver = RestrictedSolver(orthonormalize([np.ones(6)]), given_omega)
+    assert not solver.omega.flags.writeable
+    assert solver.omega.flags.owndata
+    np.testing.assert_array_equal(solver.omega, rows)
+    if kind != "list":
+        assert given_omega.flags.writeable
+        given_omega[0] = 1
+        assert solver.omega[0] == 0
+
+
 @pytest.mark.parametrize("case", ["full-rank", "fewer-rows", "equal-rows"])
 def test_solver_fit_matches_lstsq(case):
     gen = np.random.default_rng(11)

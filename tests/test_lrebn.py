@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from adaptive_mc import lrebn
+from adaptive_mc import lrebn, synthetic
 from adaptive_mc.linalg import LSTSQ_RCOND, RestrictedSolver, coherence
 from adaptive_mc.lrebn import (
     RESIDUAL_FLOOR,
@@ -301,7 +301,8 @@ def test_run_theta_trace_monotone_and_capped():
 def test_omega_redraw_policies_differ_in_row_patterns():
     # With a budget below m, the on-update policy reuses one row pattern
     # across consecutive reconstructed columns; per-column redraw uses a
-    # fresh pattern each time.  The revealed masks expose the difference.
+    # fresh pattern each time.  The oracle's log of restricted reads
+    # exposes the difference.
     m, n = 500, 4
     u = np.ones(m) / math.sqrt(m)
     mat = np.tile(u[:, None], (1, n))
@@ -309,10 +310,9 @@ def test_omega_redraw_policies_differ_in_row_patterns():
     def revealed_rows(policy):
         cfg = cfg_for(epsilon=0.0, delta=0.09, r=1, mu=1.0, seed=5,
                       omega_redraw=policy)
-        oracle = ObservationOracle(mat)
+        oracle = StubOracle(mat)
         run_lrebn(oracle, cfg)
-        return [frozenset(np.flatnonzero(oracle._revealed[:, j]).tolist())
-                for j in range(n)]
+        return [frozenset(oracle.omegas[j].tolist()) for j in range(n)]
 
     on_update = revealed_rows("on-update")
     per_column = revealed_rows("per-column")
@@ -338,6 +338,87 @@ def test_run_builds_one_solver_per_budget_event(monkeypatch):
     result = run_lrebn(ObservationOracle(inst.M), cfg)
     assert len(result.budget_trace) > 1
     assert built == [event.k for event in result.budget_trace]
+
+
+def test_on_update_run_validates_each_pattern_once_in_the_oracle(
+        monkeypatch):
+    # The run reads through the solver's read-only pattern, which the
+    # oracle checks on its first read and then trusts: one check per
+    # budget event, not one per column.
+    check = synthetic._check_index_set
+    checked = []
+
+    def counting(omega, ambient, range_error=ValueError):
+        checked.append(len(omega))
+        return check(omega, ambient, range_error)
+
+    monkeypatch.setattr(synthetic, "_check_index_set", counting)
+    m, n = 2000, 60
+    inst = make_instance(m, n, 2, 0.01, seed=4)
+    cfg = cfg_for(epsilon=0.01, delta=0.09, r=2, mu=1.0, seed=4)
+    result = run_lrebn(ObservationOracle(inst.M), cfg)
+    # The last pattern is read too, so every event's pattern is checked.
+    assert result.column_mode[-1] == "Reconstructed"
+    assert 1 < len(result.budget_trace) < n
+    assert checked == [ev.d_drawn for ev in result.budget_trace]
+
+
+class MaskOracle(ObservationOracle):
+    """Oracle that also marks every read in an m x n bool mask, an
+    independent recount of the distinct entries revealed."""
+
+    def __init__(self, hidden):
+        super().__init__(hidden)
+        self.mask = np.zeros(self.shape, dtype=bool)
+
+    def entries(self, omega, j):
+        got = super().entries(omega, j)
+        self.mask[omega, j] = True
+        return got
+
+    def column(self, j):
+        self.mask[:, j] = True
+        return super().column(j)
+
+
+@pytest.mark.parametrize("policy", ["on-update", "per-column"])
+def test_subsampled_entry_count_equals_a_mask_recount(policy):
+    m, n = 2000, 60
+    inst = make_instance(m, n, 2, 0.01, seed=4)
+    cfg = cfg_for(epsilon=0.01, delta=0.09, r=2, mu=1.0, seed=4,
+                  omega_redraw=policy)
+    oracle = MaskOracle(inst.M)
+    result = run_lrebn(oracle, cfg)
+    assert all(ev.d_drawn < m for ev in result.budget_trace)
+    assert result.observations == np.count_nonzero(oracle.mask) < m * n
+
+
+@pytest.mark.parametrize("policy, delta, subsampled", [
+    ("on-update", 0.09, True),
+    ("per-column", 0.01, False),
+], ids=["on-update-subsampled", "per-column-clamped"])
+def test_oracle_read_records_stay_small_after_a_run(policy, delta,
+                                                    subsampled):
+    # After a run the oracle holds its m x n store plus read records: a
+    # small tuple per column and references to the run's few patterns.
+    # With every budget clamped, each pattern covers all m rows and is
+    # recorded as a full read, so per-column redraw keeps no pattern.
+    # Together they stay under 1% of the store (an m x n mask is 12.5%).
+    m, n = 2000, 600
+    inst = make_instance(m, n, 2, 0.01, seed=3)
+    cfg = cfg_for(epsilon=0.01, delta=delta, r=2, mu=1.0, seed=3,
+                  omega_redraw=policy)
+    tracemalloc.start()
+    try:
+        oracle = ObservationOracle(inst.M)
+        result = run_lrebn(oracle, cfg)
+        drawn = {ev.d_drawn < m for ev in result.budget_trace}
+        del result
+        held = tracemalloc.get_traced_memory()[0] - 8 * m * n
+    finally:
+        tracemalloc.stop()
+    assert drawn == {subsampled}
+    assert held < 0.01 * 8 * m * n, held
 
 
 def test_run_sets_aside_at_most_m_coefficient_columns():

@@ -378,7 +378,9 @@ def test_non_integer_index_sets_rejected_before_any_read(entry_point, omega):
         else:
             RestrictedSolver(orthonormalize([np.ones(4)]), omega)
     assert oracle.entry_count == 0
-    assert not oracle._revealed.any()
+    # The rejected read left no record: a valid read counts its rows only.
+    oracle.entries(np.array([1, 3]), 0)
+    assert oracle.entry_count == 2
 
 
 def test_oracle_concurrent_reads_lose_no_counts():
@@ -419,6 +421,55 @@ def test_oracle_count_matches_independent_set():
             oracle.column(j)
             seen.update((i, j) for i in range(20))
     assert oracle.entry_count == len(seen)
+
+
+@pytest.mark.parametrize("kind", ["array", "masked"])
+def test_oracle_record_ignores_later_writes_to_omega(kind):
+    # A writable omega is copied into the record: writing to it after the
+    # read changes neither the count nor the rows the oracle holds.  A
+    # masked array converts to a view of the caller's data.
+    oracle = ObservationOracle(np.arange(12.0 * 9).reshape(12, 9))
+    omega = np.array([0, 3, 5, 7])
+    if kind == "masked":
+        omega = np.ma.masked_array(omega)
+    oracle.entries(omega, 4)
+    omega[:] = [8, 9, 10, 11]
+    assert oracle.entry_count == 4
+    oracle.entries(np.array([0, 3, 5, 7]), 4)
+    assert oracle.entry_count == 4
+    oracle.entries(np.array([8, 9, 10, 11]), 4)
+    assert oracle.entry_count == 8
+
+
+@pytest.mark.parametrize("kind", ["writable", "read-only-view"])
+def test_oracle_revalidates_omega_it_cannot_trust(kind):
+    # Only a read-only omega that owns its data skips the second check: a
+    # writable one, or a read-only view of a writable buffer, can change.
+    oracle = ObservationOracle(np.zeros((6, 3)))
+    base = np.array([1, 2, 4])
+    omega = base
+    if kind == "read-only-view":
+        omega = base[:]
+        omega.flags.writeable = False
+    oracle.entries(omega, 0)
+    base[2] = 6
+    with pytest.raises(IndexError):
+        oracle.entries(omega, 1)
+    base[2] = 2
+    with pytest.raises(ValueError, match="strictly increasing"):
+        oracle.entries(omega, 1)
+    assert oracle.entry_count == 3
+
+
+def test_oracle_full_row_read_then_column_adds_nothing():
+    m = 12
+    oracle = ObservationOracle(np.ones((m, 5)))
+    oracle.entries(np.arange(m), 2)
+    assert oracle.entry_count == m
+    oracle.column(2)
+    assert oracle.entry_count == m
+    oracle.entries(np.array([1, 4]), 2)
+    assert oracle.entry_count == m
 
 
 def test_oracle_memory_order_does_not_change_reads():
@@ -487,7 +538,7 @@ def test_oracle_reads_its_own_copy(order):
 
 def test_oracle_construction_allocates_only_its_store():
     # numpy reports its buffers to tracemalloc.  The oracle holds the
-    # float copy and the revealed mask; the blockwise copy and finite
+    # float copy and empty read records; the blockwise copy and finite
     # check add at most a block, never an m x n temporary.  At this size
     # an m x n bool mask (3 MB) is larger than the 2 MB allowance.
     m, n = 2000, 1500
@@ -498,7 +549,7 @@ def test_oracle_construction_allocates_only_its_store():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 8 * m * n + m * n + 2_000_000, peak
+    assert peak <= 8 * m * n + 2_000_000, peak
 
 
 # ---------------------------------------------------------------------------
