@@ -53,11 +53,17 @@ def _positive_int(text):
 
 
 def _int_list(text):
-    return [_positive_int(s) for s in text.split(",") if s != ""]
+    return _nonempty([_positive_int(s) for s in text.split(",") if s != ""])
 
 
 def _float_list(text):
-    return [float(s) for s in text.split(",") if s != ""]
+    return _nonempty([float(s) for s in text.split(",") if s != ""])
+
+
+def _nonempty(values):
+    if not values:
+        raise argparse.ArgumentTypeError("the list holds no value")
+    return values
 
 
 def _fmt(v):
@@ -162,14 +168,13 @@ def cmd_run(args):
           rec.threshold, float(errors[rec.index]))
          for rec in result.column_records],
     )
-    m, n = M.shape
     _write_csv(
         os.path.join(args.out, "summary.csv"),
         ["m", "n", "r", "epsilon", "delta", "k_final", "observations",
          "max_col_error", "mean_col_error", "bound_violations"],
-        [(m, n, cfg.r, cfg.epsilon, cfg.delta, result.k_final,
-          result.observations, float(errors.max()) if n else 0.0,
-          float(errors.mean()) if n else 0.0, result.bound_violations)],
+        [(*M.shape, cfg.r, cfg.epsilon, cfg.delta, result.k_final,
+          result.observations, float(errors.max()), float(errors.mean()),
+          result.bound_violations)],
     )
     _write_manifest(os.path.join(args.out, "manifest"), cfg)
     return 0
@@ -350,7 +355,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, FileNotFoundError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

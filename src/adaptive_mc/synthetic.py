@@ -209,9 +209,10 @@ def generate_low_rank(m, n, r, rng, coherence_mode="incoherent",
 
     The matrix is ``B @ C`` with ``B`` an m x r orthonormal basis and
     ``C`` an r x n coefficient matrix with unit-norm columns (so the
-    product's columns are unit norm).  The leading r x r block of ``C``
-    is resampled until its smallest singular value is at least 0.1, so
-    the full rank is exposed within the first r columns.
+    product's columns are unit norm).  Its one resample is the leading
+    r x r block of ``C``, redrawn until its smallest singular value is at
+    least 0.1 so the full rank shows within the first r columns.  Any
+    other degenerate draw has probability zero and raises ``RuntimeError``.
 
     Parameters
     ----------
@@ -246,21 +247,16 @@ def generate_low_rank(m, n, r, rng, coherence_mode="incoherent",
     # by them and takes fresh memory instead.
     L = np.empty((m, n))
 
-    basis = None
-    for _ in range(64):
-        raw = gen.standard_normal((m, r))
-        if coherence_mode == "spiked":
-            g = gen.standard_normal(m)
-            g /= np.linalg.norm(g)
-            spike = np.zeros(m)
-            spike[spike_index] = 1.0
-            raw[:, 0] = spike_weight * spike + (1.0 - spike_weight) * g
-        cand = orthonormalize(raw)
-        if cand.dim == r:
-            basis = cand
-            break
-    if basis is None:
-        raise RuntimeError("failed to draw a rank-r basis")
+    raw = gen.standard_normal((m, r))
+    if coherence_mode == "spiked":
+        g = gen.standard_normal(m)
+        g /= np.linalg.norm(g)
+        spike = np.zeros(m)
+        spike[spike_index] = 1.0
+        raw[:, 0] = spike_weight * spike + (1.0 - spike_weight) * g
+    basis = orthonormalize(raw)
+    if basis.dim != r:
+        raise RuntimeError(f"drew a basis block of rank {basis.dim} < r = {r}")
 
     coeff = gen.standard_normal((r, n))
     for _ in range(256):
@@ -270,10 +266,8 @@ def generate_low_rank(m, n, r, rng, coherence_mode="incoherent",
     else:
         raise RuntimeError("failed to draw a well-conditioned leading block")
     norms = np.linalg.norm(coeff, axis=0)
-    while np.any(norms == 0.0):
-        bad = norms == 0.0
-        coeff[:, bad] = gen.standard_normal((r, int(bad.sum())))
-        norms = np.linalg.norm(coeff, axis=0)
+    if not norms.all():
+        raise RuntimeError("drew an all-zero coefficient column")
     coeff /= norms
 
     return np.matmul(basis.matrix, coeff, out=L), basis
@@ -310,7 +304,9 @@ def add_bounded_noise(L, epsilon, rng, true_basis, mode="sphere"):
     mode : {"sphere", "scaled-gaussian"}
         "sphere" puts every noise column exactly on the radius-epsilon
         sphere (the worst case).  "scaled-gaussian" rescales a Gaussian
-        column to a uniform-random radius in [0, epsilon].
+        column to a uniform-random radius in [0, epsilon].  Either way the
+        Gaussian is drawn once: an all-zero column has probability zero and
+        raises ``RuntimeError``.
     """
     L = np.asarray(L, dtype=float)
     epsilon = _check_epsilon(epsilon)
@@ -328,10 +324,8 @@ def add_bounded_noise(L, epsilon, rng, true_basis, mode="sphere"):
     else:
         zeta = gen.standard_normal((m, n))
         norms = np.linalg.norm(zeta, axis=0)
-        while np.any(norms == 0.0):
-            bad = norms == 0.0
-            zeta[:, bad] = gen.standard_normal((m, int(bad.sum())))
-            norms = np.linalg.norm(zeta, axis=0)
+        if not norms.all():
+            raise RuntimeError("drew an all-zero noise column")
         if mode == "sphere":
             zeta *= epsilon / norms
         else:

@@ -151,8 +151,7 @@ def _generators(state, chunk):
 
 
 def _reject(basis, x):
-    """``x`` minus its projection onto the span of ``basis``, for stacks
-    (or single frames) of matrices."""
+    """Each ``x`` minus its projection onto the span of its ``basis``."""
     return x - basis @ (np.swapaxes(basis, -1, -2) @ x)
 
 
@@ -171,34 +170,14 @@ def _frames(raw):
     return q, np.all(np.abs(diag) > DEFAULT_RANK_TOL, axis=1)
 
 
-def _full_frames(raw, gens, redraw):
-    """``_frames`` of ``raw`` with every rank-deficient frame replaced.
-
-    ``redraw(i, gens[i])`` draws a new raw frame for stack entry i from
-    its trial's generator, up to 15 times.  Those draws come after all of
-    the trial's other draws; only a rank-deficient draw, an event of
-    probability zero, sees that order.
-    """
-    m, k = raw.shape[1:]
-    if k > m:
-        raise RuntimeError("failed to draw a full-rank random frame")
+def _full_frames(raw):
+    """Frames of a (t, m, k) stack drawn from a continuous law.  A
+    rank-deficient frame has probability zero and raises ``RuntimeError``:
+    no trial ever redraws."""
     q, full = _frames(raw)
-    for i in np.flatnonzero(~full):
-        for _ in range(15):
-            qi, ok = _frames(redraw(i, gens[i])[None])
-            if ok[0]:
-                q[i] = qi[0]
-                break
-        else:
-            raise RuntimeError("failed to draw a full-rank random frame")
+    if not full.all():
+        raise RuntimeError("drew a rank-deficient random frame")
     return q
-
-
-def _complement_frames(base, raw, gens):
-    """Frames of the parts of ``raw`` orthogonal to ``base``."""
-    return _full_frames(
-        _reject(base, raw), gens,
-        lambda i, gen: _reject(base[i], gen.standard_normal(raw.shape[1:])))
 
 
 def _rotated(base, w, angles):
@@ -253,18 +232,16 @@ def check_kcoh(m, r, k, trials, rng):
     violations = 0
     worst = math.inf
     for chunk in _chunks(0, trials, m * r):
-        gens = _generators(state, chunk)
         raw = np.empty((len(chunk), m, r))
         coef = np.empty((len(chunk), r, k))
-        for i, (t, gen) in enumerate(zip(chunk, gens)):
+        for i, (t, gen) in enumerate(zip(chunk, _generators(state, chunk))):
             raw[i] = gen.standard_normal((m, r))
             if t % 4 == 3:
                 raw[i, :, 0] = 0.0
                 raw[i, int(gen.integers(m)), 0] = 1.0
             coef[i] = gen.standard_normal((r, k))
-        u = _full_frames(raw, gens, lambda i, gen: gen.standard_normal((m, r)))
-        sub = _full_frames(u @ coef, gens,
-                           lambda i, gen: u[i] @ gen.standard_normal((r, k)))
+        u = _full_frames(raw)
+        sub = _full_frames(u @ coef)
         margins = r * coherence(u) - k * coherence(sub)
         worst, violations = _tally(margins, DET_TOL, worst, violations)
     return CheckReport(
@@ -287,16 +264,15 @@ def check_noisycoh(m, k, theta_max, trials, rng):
     violations = 0
     worst = math.inf
     for chunk in _chunks(0, trials, m * k):
-        gens = _generators(state, chunk)
         raw_u = np.empty((len(chunk), m, k))
         raw_w = np.empty((len(chunk), m, k))
         angles = np.empty((len(chunk), k))
-        for i, gen in enumerate(gens):
+        for i, gen in enumerate(_generators(state, chunk)):
             raw_u[i] = gen.standard_normal((m, k))
             raw_w[i] = gen.standard_normal((m, k))
             angles[i] = gen.uniform(0.0, theta_max, size=k)
-        u = _full_frames(raw_u, gens, lambda i, gen: gen.standard_normal((m, k)))
-        tilted = _rotated(u, _complement_frames(u, raw_w, gens), angles)
+        u = _full_frames(raw_u)
+        tilted = _rotated(u, _full_frames(_reject(u, raw_w)), angles)
         theta = subspace_subspace_angle(tilted, u)
         margins = (2.0 * coherence(u) + 2.0 * (m / k) * theta ** 2
                    - coherence(tilted))
@@ -411,19 +387,17 @@ def check_blum(m, k, trials, rng):
     skipped = 0
     worst = math.inf
     for chunk in _chunks(0, trials, m * k):
-        gens = _generators(state, chunk)
         raw_u = np.empty((len(chunk), m, k - 1))
         b = np.empty((len(chunk), m))
         noise = np.empty((len(chunk), m))
         scale = np.zeros(len(chunk))
-        for i, (t, gen) in enumerate(zip(chunk, gens)):
+        for i, (t, gen) in enumerate(zip(chunk, _generators(state, chunk))):
             raw_u[i] = gen.standard_normal((m, k - 1))
             b[i] = gen.standard_normal(m)
             if t % 3 == 0:
                 scale[i] = 10.0 ** gen.uniform(-4.0, 0.5)
             noise[i] = gen.standard_normal(m)
-        u = _full_frames(raw_u, gens,
-                         lambda i, gen: gen.standard_normal((m, k - 1)))
+        u = _full_frames(raw_u)
         b /= np.linalg.norm(b, axis=1, keepdims=True)
         style = np.arange(chunk.start, chunk.stop) % 3
         btilde = np.where(style[:, None] == 0, b + scale[:, None] * noise, noise)
@@ -489,7 +463,6 @@ def check_conc(m, k, d, epsilon, delta, trials, rng):
     violations = 0
     worst = math.inf
     for chunk in _chunks(0, trials, m * k):
-        gens = _generators(state, chunk)
         c = len(chunk)
         raw_base = np.empty((c, m, k - 1))
         raw_w = np.empty((c, m, k - 1))
@@ -500,7 +473,7 @@ def check_conc(m, k, d, epsilon, delta, trials, rng):
         clean = np.empty((c, m))
         noise = np.empty((c, m))
         mask = np.zeros((c, m), dtype=bool)
-        for i, gen in enumerate(gens):
+        for i, gen in enumerate(_generators(state, chunk)):
             if k == 1:
                 clean[i] = gen.standard_normal(m)
             else:
@@ -518,13 +491,11 @@ def check_conc(m, k, d, epsilon, delta, trials, rng):
             theta = np.zeros(c)
             clean /= np.linalg.norm(clean, axis=1, keepdims=True)
         else:
-            base = _full_frames(
-                raw_base, gens, lambda i, gen: gen.standard_normal((m, k - 1)))
-            tilted = _rotated(base, _complement_frames(base, raw_w, gens),
-                              angles)
+            base = _full_frames(raw_base)
+            tilted = _rotated(base, _full_frames(_reject(base, raw_w)), angles)
             theta = subspace_subspace_angle(tilted, base)
             inside /= np.linalg.norm(inside, axis=1, keepdims=True)
-            outside = _complement_frames(base, outside, gens)[..., 0]
+            outside = _full_frames(_reject(base, outside))[..., 0]
             clean = (np.cos(psi)[:, None] * (base @ inside[..., None])[..., 0]
                      + np.sin(psi)[:, None] * outside)
         column = clean + epsilon * (
@@ -589,7 +560,7 @@ def check_ks14(m, k, d, delta, trials, rng):
         for i, gen in enumerate(gens):
             raw[i] = gen.standard_normal((m, k))
             y[i] = gen.standard_normal(m)
-        basis = _full_frames(raw, gens, lambda i, gen: gen.standard_normal((m, k)))
+        basis = _full_frames(raw)
         resid_full = y - project(basis, y)
         r2_full = np.einsum("ti,ti->t", resid_full, resid_full)
         mu_sub = coherence(basis)
@@ -676,9 +647,8 @@ def check_matcher(n_dim, r, L_bound, epsilon_chern, trials, rng, num_draws=200):
     if L_bound is not None and not 0.0 < L_bound < math.inf:
         raise ValueError(f"L_bound must be positive and finite; got {L_bound}")
     state = _as_state(rng, "matcher", trials)
-    gens = _generators(state, [0])
-    rows = _full_frames(gens[0].standard_normal((n_dim, r))[None], gens,
-                        lambda i, gen: gen.standard_normal((n_dim, r)))[0]
+    gen = state.substream(0).generator()
+    rows = _full_frames(gen.standard_normal((n_dim, r))[None])[0]
     row_sq = np.einsum("ij,ij->i", rows, rows)
     max_row = float(np.max(row_sq))
     scale = 1.0 if L_bound is None else float(L_bound) / max_row

@@ -184,6 +184,33 @@ def test_run_rejects_non_finite_reference(tmp_path, capsys, bad):
     assert not (out / "results.csv").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    pytest.param(["generate", "--m", "6", "--n", "5", "--r", "1",
+                  "--epsilon", "0", "--out", "{file}"], id="generate-out"),
+    pytest.param(["run", "--instance", "{file}", "--out", "{tmp}/run"],
+                 id="run-instance"),
+    pytest.param(["run", "--instance", "{inst}", "--out", "{file}"],
+                 id="run-out"),
+    pytest.param(["sweep", "--m", "6", "--n", "5", "--r", "1",
+                  "--epsilon", "0", "--out", "{file}"], id="sweep-out"),
+    pytest.param(["verify", "--names", "ind", "--trials", "2",
+                  "--out", "{file}"], id="verify-out"),
+])
+def test_os_error_prints_one_error_line(tmp_path, capsys, argv):
+    inst = tmp_path / "inst"
+    cli.main(["generate", "--m", "6", "--n", "5", "--r", "1",
+              "--epsilon", "0", "--out", str(inst)])
+    regular = tmp_path / "regular"
+    regular.write_text("keep\n")
+    capsys.readouterr()
+    rc = cli.main([a.format(file=regular, tmp=tmp_path, inst=inst)
+                   for a in argv])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert regular.read_text() == "keep\n"
+
+
 def test_run_rerun_identical(instance_dir, tmp_path):
     outs = []
     for name in ("r1", "r2"):
@@ -419,6 +446,24 @@ def test_sweep_rejects_bad_list_value_before_any_cell(
     assert "Traceback" not in err
     assert calls == []
     assert not (out / "sweep.csv").exists()
+
+
+@pytest.mark.parametrize("flag, value", [("--m", ","), ("--epsilon", "")])
+def test_sweep_rejects_a_list_with_no_value(tmp_path, monkeypatch, capsys,
+                                            flag, value):
+    calls = []
+    monkeypatch.setattr(cli, "_sweep_cell", lambda *a: calls.append(a))
+    argv = {"--m": "30", "--n": "20", "--r": "2", "--epsilon": "0"}
+    argv[flag] = value
+    out = tmp_path / "sw"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["sweep", *(x for kv in argv.items() for x in kv),
+                  "--out", str(out)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}: the list holds no value" in err
+    assert calls == []
+    assert not out.exists()
 
 
 def test_sweep_runs_full_rank_cells(tmp_path):

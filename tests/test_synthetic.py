@@ -11,6 +11,7 @@ from adaptive_mc.linalg import (
     orthonormalize,
     subspace_subspace_angle,
 )
+from adaptive_mc import synthetic
 from adaptive_mc.sampling import RngState
 from adaptive_mc.synthetic import (
     ObservationOracle,
@@ -178,6 +179,40 @@ def test_spiked_mode_rejects_bad_spike_weight():
     with pytest.raises(ValueError, match="spike_index"):
         generate_low_rank(20, 10, 2, RngState(0), coherence_mode="spiked",
                           spike_index=20)
+
+
+class _ZeroLastColumn(np.random.Generator):
+    """A generator whose Gaussian draws of one shape end in a zero column:
+    the degenerate draw that has probability zero."""
+
+    def __init__(self, shape):
+        super().__init__(np.random.Philox(0))
+        self.shape = shape
+
+    def standard_normal(self, size=None):
+        out = super().standard_normal(size)
+        if size == self.shape:
+            out[..., -1] = 0.0
+        return out
+
+
+def test_rank_deficient_basis_draw_raises(monkeypatch):
+    monkeypatch.setattr(synthetic, "orthonormalize",
+                        lambda raw: orthonormalize(raw[:, :-1]))
+    with pytest.raises(RuntimeError, match="basis block of rank 1 < r = 2"):
+        generate_low_rank(6, 5, 2, RngState(0))
+
+
+def test_zero_coefficient_column_raises():
+    with pytest.raises(RuntimeError, match="all-zero coefficient column"):
+        generate_low_rank(6, 5, 2, _ZeroLastColumn((2, 5)))
+
+
+@pytest.mark.parametrize("mode", ["sphere", "scaled-gaussian"])
+def test_zero_noise_column_raises(mode):
+    L, basis = generate_low_rank(6, 5, 2, RngState(0))
+    with pytest.raises(RuntimeError, match="all-zero noise column"):
+        add_bounded_noise(L, 0.1, _ZeroLastColumn((6, 5)), basis, mode=mode)
 
 
 # ---------------------------------------------------------------------------

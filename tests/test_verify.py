@@ -20,6 +20,7 @@ from adaptive_mc.verify import (
     CHECK_NAMES,
     CheckReport,
     _frames,
+    _full_frames,
     _restricted_residuals,
     check_blum,
     check_conc,
@@ -199,6 +200,14 @@ def test_frames_flag_dependent_columns_like_orthonormalize():
     _, full = _frames(raw)
     expected = [orthonormalize(one).dim == 4 for one in raw]
     assert full.tolist() == expected == [True, False, False, False, True]
+
+
+def test_full_frames_raise_on_a_dependent_column_instead_of_redrawing():
+    raw = np.random.default_rng(23).standard_normal((3, 12, 4))
+    np.testing.assert_array_equal(_full_frames(raw), _frames(raw)[0])
+    raw[1, :, 2] = raw[1, :, 0] - 2.0 * raw[1, :, 1]
+    with pytest.raises(RuntimeError, match="rank-deficient random frame"):
+        _full_frames(raw)
 
 
 def test_restricted_residuals_match_solver():
