@@ -350,10 +350,19 @@ def build_parser():
     return parser
 
 
+def _check_out(path):
+    """ValueError when ``--out`` names an existing file that is not a
+    directory: every subcommand writes into a directory, so such a call
+    would fail only after all its work."""
+    if path is not None and os.path.exists(path) and not os.path.isdir(path):
+        raise ValueError(f"--out {path} exists and is not a directory")
+
+
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_out(args.out)
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

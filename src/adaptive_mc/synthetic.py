@@ -307,6 +307,17 @@ def add_bounded_noise(L, epsilon, rng, true_basis, mode="sphere"):
         column to a uniform-random radius in [0, epsilon].  Either way the
         Gaussian is drawn once: an all-zero column has probability zero and
         raises ``RuntimeError``.
+
+    The m x n Gaussian draw is the buffer that becomes ``M``.  The noise
+    norms are row-sequential sums of squares over blocks of about a
+    megabyte of rows, bit-identical to ``np.linalg.norm(zeta, axis=0)``
+    (see ``_column_norms``), so for n > 1 set-up makes no other m x n
+    array; a single column is reduced in one block, as numpy sums it
+    pairwise.  ``einsum``
+    is not used: it rounds differently, and the norms set the instance's
+    bits.  Each block is then scaled and gets ``L`` added while in cache.
+    With ``epsilon == 0``, ``M`` is ``L + 0.0``, the bits of
+    ``zeros + L`` (``-0.0`` becomes ``+0.0``).
     """
     L = np.asarray(L, dtype=float)
     epsilon = _check_epsilon(epsilon)
@@ -320,22 +331,45 @@ def add_bounded_noise(L, epsilon, rng, true_basis, mode="sphere"):
     gen = as_generator(rng)
 
     if epsilon == 0.0:
-        zeta = np.zeros_like(L)
+        M = L + 0.0
     else:
-        zeta = gen.standard_normal((m, n))
-        norms = np.linalg.norm(zeta, axis=0)
+        M = gen.standard_normal((m, n))
+        norms = _column_norms(M)
         if not norms.all():
             raise RuntimeError("drew an all-zero noise column")
         if mode == "sphere":
-            zeta *= epsilon / norms
+            scale = epsilon / norms
         else:
-            radii = gen.uniform(0.0, epsilon, size=n)
-            zeta *= radii / norms
-    M = np.add(zeta, L, out=zeta)  # in the noise buffer; equals L + zeta
+            scale = gen.uniform(0.0, epsilon, size=n) / norms
+        height = _block_rows(n)
+        for i0 in range(0, m, height):
+            block = M[i0:i0 + height]
+            block *= scale
+            block += L[i0:i0 + height]
 
     inst = ProblemInstance(L=L, M=M, true_basis=true_basis, epsilon=epsilon)
     _check_instance(inst)
     return inst
+
+
+def _column_norms(a):
+    """Column 2-norms of the C-ordered matrix ``a``, bit-identical to
+    ``np.linalg.norm(a, axis=0)``, summed in row blocks.
+
+    numpy reduces an axis-0 sum of more than one column one row after
+    another, so each block's squares get the running sums added to their
+    first row and are then reduced down the rows: the additions are the
+    same, in the same order.  A single column is summed pairwise, so it
+    is reduced in one block.
+    """
+    m, n = a.shape
+    height = m if n == 1 else _block_rows(n)
+    sums = np.zeros(n)
+    for i0 in range(0, m, height):
+        sq = a[i0:i0 + height] * a[i0:i0 + height]
+        sq[0] += sums
+        np.add.reduce(sq, axis=0, out=sums)
+    return np.sqrt(sums)
 
 
 def _check_instance(inst):
@@ -361,26 +395,37 @@ def _check_instance(inst):
     singular values of ``L``.  The first also rejects a ``true_basis``
     that does not span the column space of ``L``, which the singular
     values alone cannot see.
+
+    The column norms of ``L`` and of ``M - L`` and ``||E||_F`` come from
+    one pass over row blocks of about a megabyte, worked in one block
+    buffer, so the check allocates no m x n temporary.  These sums set no bits, so they use ``einsum``.
+    The unit-norm verdict comes first: a NaN or inf in ``L`` is reported
+    as a column that is not unit norm.
     """
     L = inst.L
     r = inst.r
-    col_norms = np.linalg.norm(L, axis=0)
-    if not np.max(np.abs(col_norms - 1.0)) <= 1e-12:
-        raise AssertionError("ground-truth columns are not unit norm")
     B = inst.true_basis.matrix
-    C = B.T @ L
-    # Noise norms from row blocks of M - L, and ||L - B C||_F from row
-    # blocks of B C - L: no m x n temporary.
+    # A non-finite entry turns its sums into inf or NaN, which the
+    # verdicts below reject, so the arithmetic's warnings are silenced.
+    unit_sq = np.zeros(L.shape[1])
     noise_sq = np.zeros(L.shape[1])
     resid_sq = 0.0
     height = _block_rows(L.shape[1])
-    for i0 in range(0, L.shape[0], height):
-        rows = slice(i0, i0 + height)
-        z = inst.M[rows] - L[rows]
-        noise_sq += np.einsum("ij,ij->j", z, z)
-        e = B[rows] @ C
-        e -= L[rows]
-        resid_sq += np.vdot(e, e)
+    buf = np.empty((min(height, L.shape[0]), L.shape[1]))
+    with np.errstate(invalid="ignore", over="ignore"):
+        C = B.T @ L
+        for i0 in range(0, L.shape[0], height):
+            rows = slice(i0, i0 + height)
+            block = L[rows]
+            t = buf[:len(block)]
+            unit_sq += np.einsum("ij,ij->j", block, block)
+            np.subtract(inst.M[rows], block, out=t)
+            noise_sq += np.einsum("ij,ij->j", t, t)
+            np.matmul(B[rows], C, out=t)
+            t -= block
+            resid_sq += np.vdot(t, t)
+    if not np.max(np.abs(np.sqrt(unit_sq) - 1.0)) <= 1e-12:
+        raise AssertionError("ground-truth columns are not unit norm")
     if not np.sqrt(np.max(noise_sq)) <= inst.epsilon + 1e-12:
         raise AssertionError("noise column exceeds the epsilon bound")
     resid = np.sqrt(resid_sq)

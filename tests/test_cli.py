@@ -211,6 +211,34 @@ def test_os_error_prints_one_error_line(tmp_path, capsys, argv):
     assert regular.read_text() == "keep\n"
 
 
+@pytest.mark.parametrize("argv", [
+    pytest.param(["generate", "--m", "6", "--n", "5", "--r", "1",
+                  "--epsilon", "0", "--out", "{file}"], id="generate"),
+    pytest.param(["run", "--instance", "{tmp}/inst", "--out", "{file}"],
+                 id="run"),
+    pytest.param(["sweep", "--m", "6", "--n", "5", "--r", "1",
+                  "--epsilon", "0", "--out", "{file}"], id="sweep"),
+    pytest.param(["verify", "--names", "ind", "--out", "{file}"],
+                 id="verify"),
+])
+def test_out_that_is_a_file_fails_before_any_work(tmp_path, capsys,
+                                                   monkeypatch, argv):
+    def never(*args, **kwargs):
+        raise AssertionError("work started before --out was checked")
+
+    for name in ("make_instance", "load_instance", "_sweep_cell",
+                 "run_check"):
+        monkeypatch.setattr(cli, name, never)
+    regular = tmp_path / "regular"
+    regular.write_text("keep\n")
+    rc = cli.main([a.format(file=regular, tmp=tmp_path) for a in argv])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err == f"error: --out {regular} exists and is not a directory\n"
+    assert regular.read_text() == "keep\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["regular"]
+
+
 def test_run_rerun_identical(instance_dir, tmp_path):
     outs = []
     for name in ("r1", "r2"):

@@ -12,7 +12,7 @@ from adaptive_mc.linalg import (
     subspace_subspace_angle,
 )
 from adaptive_mc import synthetic
-from adaptive_mc.sampling import RngState
+from adaptive_mc.sampling import RngState, as_generator
 from adaptive_mc.synthetic import (
     ObservationOracle,
     ProblemInstance,
@@ -121,6 +121,65 @@ def test_instance_holds_only_l_and_m():
         tracemalloc.stop()
     assert inst.M.shape == (m, n)
     assert held <= 2 * 8 * m * n + 1_000_000, held
+
+
+def _direct_noisy_matrix(L, epsilon, rng, mode):
+    """``M`` by the direct formula: one draw from the noise stream, its
+    ``np.linalg.norm`` over axis 0, the scale, then ``+ L``."""
+    gen = as_generator(rng)
+    zeta = gen.standard_normal(L.shape)
+    norms = np.linalg.norm(zeta, axis=0)
+    if mode == "sphere":
+        zeta *= epsilon / norms
+    else:
+        zeta *= gen.uniform(0.0, epsilon, size=L.shape[1]) / norms
+    return zeta + L
+
+
+# One column taller than a row block: at seeds 2 and 4, summing it block
+# by block instead of pairwise in one block changes the bits of M.
+@pytest.mark.parametrize("m, n, r, mode, seed", [
+    (3000, 300, 4, "sphere", 21),        # several row blocks
+    (3000, 300, 4, "scaled-gaussian", 21),
+    (140_000, 1, 1, "sphere", 2),
+    (140_000, 1, 1, "scaled-gaussian", 4),
+    (1000, 2, 2, "scaled-gaussian", 21),
+])
+def test_noisy_matrix_is_bit_identical_to_direct_formula(m, n, r, mode,
+                                                          seed):
+    inst = make_instance(m, n, r, 0.05, seed, noise_mode=mode)
+    want = _direct_noisy_matrix(
+        inst.L, 0.05, RngState(seed).substream(synthetic._STREAM_NOISE), mode)
+    assert inst.M.tobytes() == want.tobytes()
+
+
+def test_zero_noise_matrix_is_bit_identical_to_zeros_plus_l():
+    L = -np.eye(6, 4)          # unit columns holding -0.0 entries
+    assert np.signbit(L[1, 0])
+    inst = add_bounded_noise(L, 0.0, RngState(0),
+                             OrthonormalBasis(np.eye(6, 4)))
+    assert inst.M.tobytes() == (np.zeros_like(L) + L).tobytes()
+    assert not np.signbit(inst.M[1, 0])
+
+
+def test_set_up_makes_no_m_by_n_temporary():
+    # numpy reports its buffers to tracemalloc.  Building an instance
+    # holds L and the draw that becomes M, plus row blocks of about a
+    # megabyte: norms over the whole m x n draw, or the check's norms of
+    # L, would each add one more m x n array.
+    m, n = 2000, 600
+    tracemalloc.start()
+    try:
+        inst = make_instance(m, n, 3, 0.01, seed=15)
+        build_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        _check_instance(inst)
+        check_peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert build_peak <= 2.7 * 8 * m * n, build_peak / (8 * m * n)
+    assert check_peak <= 0.5 * 8 * m * n, check_peak / (8 * m * n)
 
 
 def test_epsilon_bound_enforced():
@@ -284,6 +343,14 @@ def test_check_rejects_nan_noise():
 def test_check_rejects_nan_in_l_as_not_unit_norm():
     L, basis = _low_rank(np.random.default_rng(1), 30, 40, 4)
     L[3, 7] = np.nan
+    with pytest.raises(AssertionError, match="unit norm"):
+        _check_instance(_instance(L, basis))
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf])
+def test_check_rejects_inf_in_l_as_not_unit_norm(bad):
+    L, basis = _low_rank(np.random.default_rng(1), 30, 40, 4)
+    L[3, 7] = bad
     with pytest.raises(AssertionError, match="unit norm"):
         _check_instance(_instance(L, basis))
 

@@ -1,0 +1,112 @@
+"""Print SHA-256 digests of everything the instance generator decides.
+
+Run it on two trees and diff the outputs to show that a change keeps the
+generated bits:
+
+    PYTHONPATH=src python tools/identity_digests.py > after.txt
+
+Each line is a label and the first 16 hex digits of a SHA-256:
+
+* ``inst``: the bytes of ``make_instance(...).L`` and ``.M`` for shapes
+  that cover both noise modes, spiked coherence, epsilon = 0, a single
+  column taller than one row block, two columns and several row blocks;
+  ``zero-noise``: ``add_bounded_noise`` with epsilon = 0 on an ``L``
+  holding ``-0.0`` entries.
+* ``report``: each ``verify.run_check`` report at default trials for
+  seeds 0, 1 and 7.
+* ``cli``: each file the CLI writes for a fixed ``generate``, ``run``,
+  ``sweep`` and ``verify``, the reruns that must stay byte-identical.
+
+The digests of ``L`` depend on the BLAS build, so compare two trees on
+one machine; the script is not a test.
+"""
+
+import hashlib
+import os
+import sys
+import tempfile
+
+import numpy as np
+
+from adaptive_mc import cli
+from adaptive_mc.linalg import OrthonormalBasis
+from adaptive_mc.sampling import RngState
+from adaptive_mc.synthetic import add_bounded_noise, make_instance
+from adaptive_mc.verify import CHECK_NAMES, run_check
+
+# (m, n, r, epsilon, seed, noise_mode, coherence_mode)
+INSTANCES = [
+    (2000, 1500, 10, 0.05, 1, "sphere", "incoherent"),
+    (20000, 400, 2, 0.05, 1, "sphere", "incoherent"),
+    (60, 80, 3, 0.1, 4, "sphere", "spiked"),
+    (5, 5, 5, 0.2, 2, "scaled-gaussian", "incoherent"),
+    (3000, 300, 4, 0.05, 3, "sphere", "incoherent"),
+    (3000, 300, 4, 0.05, 3, "scaled-gaussian", "incoherent"),
+    (300, 500, 2, 0.2, 9, "scaled-gaussian", "spiked"),
+    (200000, 1, 1, 0.1, 5, "sphere", "incoherent"),
+    (200000, 1, 1, 0.1, 5, "scaled-gaussian", "incoherent"),
+    (1000, 2, 2, 0.1, 6, "sphere", "incoherent"),
+    (1000, 2, 1, 0.05, 6, "scaled-gaussian", "incoherent"),
+    (400, 300, 3, 0.0, 7, "sphere", "incoherent"),
+    (1, 7, 1, 0.1, 8, "sphere", "incoherent"),
+]
+
+CLI_COMMANDS = [
+    ["generate", "--m", "40", "--n", "30", "--r", "3", "--epsilon", "0.01",
+     "--seed", "5", "--out", "{tmp}/inst"],
+    ["run", "--instance", "{tmp}/inst", "--delta", "0.05", "--seed", "6",
+     "--out", "{tmp}/run"],
+    ["sweep", "--m", "30", "--n", "20", "--r", "2", "--epsilon", "0,0.02",
+     "--trials", "2", "--seed", "7", "--out", "{tmp}/sweep"],
+    ["verify", "--names", "kcoh,ind", "--trials", "100", "--seed", "8",
+     "--out", "{tmp}/verify"],
+]
+
+
+def digest(data):
+    return hashlib.sha256(data).hexdigest()[:16]
+
+
+def report_bytes(rep):
+    return repr((rep.name, rep.trials, rep.violations, repr(rep.worst_margin),
+                 repr(sorted(rep.params.items())), rep.denominator,
+                 repr(rep.theoretical_bound), rep.seed, rep.not_applicable,
+                 rep.verdict)).encode()
+
+
+def main():
+    for m, n, r, eps, seed, noise, coh in INSTANCES:
+        inst = make_instance(m, n, r, eps, seed, coherence_mode=coh,
+                             noise_mode=noise)
+        label = f"inst {m}x{n} r={r} eps={eps} seed={seed} {noise} {coh}"
+        print(f"{label}: L {digest(inst.L.tobytes())} "
+              f"M {digest(inst.M.tobytes())}")
+
+    L = -np.eye(6, 4)
+    inst = add_bounded_noise(L, 0.0, RngState(0), OrthonormalBasis(np.eye(6, 4)))
+    print(f"zero-noise 6x4 with -0.0 in L: M {digest(inst.M.tobytes())}")
+
+    for seed in (0, 1, 7):
+        print(f"report seed={seed}: " + ", ".join(
+            f"{name} {digest(report_bytes(run_check(name, seed=seed)))}"
+            for name in CHECK_NAMES))
+
+    with tempfile.TemporaryDirectory() as tmp:
+        stdout = sys.stdout
+        sys.stdout = open(os.devnull, "w")
+        try:
+            for argv in CLI_COMMANDS:
+                rc = cli.main([a.format(tmp=tmp) for a in argv])
+                if rc != 0:
+                    raise SystemExit(f"{argv[0]} exited {rc}")
+        finally:
+            sys.stdout.close()
+            sys.stdout = stdout
+        for sub in ("inst", "run", "sweep", "verify"):
+            for name in sorted(os.listdir(os.path.join(tmp, sub))):
+                with open(os.path.join(tmp, sub, name), "rb") as fh:
+                    print(f"cli {sub}/{name}: {digest(fh.read())}")
+
+
+if __name__ == "__main__":
+    main()
