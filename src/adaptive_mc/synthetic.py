@@ -461,31 +461,161 @@ def make_instance(m, n, r, epsilon, seed, coherence_mode="incoherent",
 # File formats
 # ---------------------------------------------------------------------------
 
+# write_matrix formats this many values at a time: whole rows when n is
+# at most this, otherwise pieces of one row.  A block's temporaries come
+# to about 200 bytes a value, so a block stays near 0.4 MB.
+_TEXT_BLOCK = 2048
+
+# Values with _FAST_MIN <= |x| < _FAST_MAX are formatted with exact
+# integer arithmetic; every other value (zero, subnormal, non-finite,
+# |x| outside the window) by Python's own ``%.17e``.  In the window the
+# decimal exponent E = floor(log10|x|) lies in [-9, 9], and the log10
+# estimate of E, off by at most one, in [-10, 10]; so k = 17 - E lies in
+# [7, 27] on both passes of ``_decimal``, and 5**k <= 5**27 < 2**63 fits
+# a uint64.  With |x| = f * 2**e, 2**52 <= f < 2**53, the shift
+# s = -(e + k) = 35 + E - floor(log2|x|) lies in [11, 56] for the true E
+# and in [10, 57] for an estimate off by one, inside [1, 63]; and the
+# truncated quotient stays below 10**19 < 2**64.
+_FAST_MIN = 1e-9
+_FAST_MAX = 1e10
+_EXP_MIN, _EXP_MAX = -9, 9
+_POW5 = np.array([5 ** k for k in range(28)], dtype=np.uint64)
+
+# Each value is laid out as seven little-endian uint32 words, 28 bytes:
+# "-d.d" "dddd" "dddd" "dddd" "dddd" "e+XX" and three NULs plus the
+# separator.  A positive value has a NUL for its sign; the NULs are
+# dropped when the block is written.
+_LEAD = np.frombuffer(b"".join(b"\0%d.%d" % divmod(t, 10) for t in range(100)),
+                      "<u4")
+_QUAD = np.frombuffer(b"".join(b"%04d" % g for g in range(10000)), "<u4")
+_EXPONENT = np.frombuffer(
+    b"".join(b"e%+03d" % E for E in range(_EXP_MIN, _EXP_MAX + 1)), "<u4")
+_MINUS, _SPACE, _NEWLINE = np.frombuffer(b"-\0\0\0\0\0\0 \0\0\0\n", "<u4")
+
+
+def _scaled(f, e, E):
+    """Integer part of ``f * 2**e * 10**(17 - E)``, with the low limb and
+    the shift that hold its fraction.
+
+    With k = 17 - E the product is exactly ``N * 2**-s`` for
+    ``N = f * 5**k`` and ``s = -(e + k)``.  N has up to 116 bits: it is
+    built as two uint64 limbs ``hi``, ``lo`` from 32-bit partial products,
+    each of which fits in 64 bits.  The fraction is the low s bits of lo.
+    """
+    k = 17 - E
+    p = _POW5[k]
+    f0, f1 = f & 0xFFFFFFFF, f >> 32
+    p0, p1 = p & 0xFFFFFFFF, p >> 32
+    low = f0 * p0
+    mid = f0 * p1 + f1 * p0               # below 2**63 + 2**53
+    lo = low + (mid << 32)                # modulo 2**64
+    hi = f1 * p1 + (mid >> 32) + (lo < low)
+    s = (-(e + k)).astype(np.uint64)
+    return (hi << (64 - s)) | (lo >> s), lo, s
+
+
+def _decimal(ax):
+    """``(D, E)`` with ``10**17 <= D < 10**18`` the 18 significant digits
+    of each positive ``ax`` in the fast window, rounded half to even as
+    ``%.17e`` rounds them, and E its decimal exponent."""
+    mant, ex = np.frexp(ax)
+    f = (mant * 2.0 ** 53).astype(np.uint64)
+    e = ex.astype(np.int64) - 53
+    E = np.floor(np.log10(ax)).astype(np.int64)
+    q, lo, s = _scaled(f, e, E)
+    # log10 can round across a power of ten; the truncated quotient then
+    # has 17 or 19 digits, and E moves by one.
+    off = (q >= 10 ** 18).astype(np.int64) - (q < 10 ** 17)
+    if off.any():
+        E += off
+        q, lo, s = _scaled(f, e, E)
+    half = 1 << (s - 1)
+    rem = lo & ((half << 1) - 1)
+    # Rounding never carries to 10**18: that needs |x| within half a unit
+    # of the 18th digit below a power of ten, and no double in the window
+    # is that close to one.
+    q += (rem > half) | ((rem == half) & ((q & 1) == 1))
+    return q, E
+
+
+def _format_block(v, seps, words):
+    """The ``%.17e`` text of the 1-D values ``v``, each followed by its
+    separator word in ``seps``; ``words`` is scratch of at least
+    ``len(v)`` rows."""
+    words = words[:v.size]
+    ax = np.abs(v)
+    fast = (ax >= _FAST_MIN) & (ax < _FAST_MAX)
+    D, E = _decimal(np.where(fast, ax, 1.0))
+    top = D // 10 ** 16
+    D -= top * 10 ** 16
+    hi = D // 10 ** 8
+    lo = D - hi * 10 ** 8
+    words[:, 0] = _LEAD[top] | np.signbit(v) * _MINUS
+    for col, part in ((1, hi), (3, lo)):
+        quad = part // 10 ** 4
+        words[:, col] = _QUAD[quad]
+        words[:, col + 1] = _QUAD[part - quad * 10 ** 4]
+    words[:, 5] = _EXPONENT[E - _EXP_MIN]
+    words[:, 6] = seps
+    text = words.view(np.uint8)
+    for i in np.flatnonzero(~fast):
+        text[i, :27] = np.frombuffer(
+            (b"%.17e" % float(v[i])).ljust(27, b"\0"), np.uint8)
+    return words.tobytes().translate(None, b"\0")
+
+
 def write_matrix(path, a):
-    """Write a matrix as plain text: a header line ``m n`` followed by m
-    rows of n space-separated values at 17 significant digits."""
+    """Write a non-empty matrix as plain text: a header line ``m n``
+    followed by m rows of n space-separated values.
+
+    Each value is written exactly as ``"%.17e" % v`` writes it: 18
+    significant digits, correctly rounded with ties to even, an exponent
+    of at least two digits, and ``-0.0``, ``inf`` and ``nan`` as Python
+    prints them.  Values are formatted in numpy, a block of a few thousand
+    at a time: those with ``1e-9 <= |v| < 1e10`` by exact integer
+    arithmetic, any other value (zero, subnormal, non-finite or outside
+    that window) by Python's ``%``, one value at a time, in its place.
+    An empty matrix raises ``ValueError``: it could not be read back.
+    """
     a = np.asarray(a, dtype=float)
     if a.ndim != 2:
         raise ValueError("only 2-D matrices are supported")
     m, n = a.shape
-    # One format string per row; %-formatting a Python float gives the
-    # same digits as f"{v:.17e}".  Rows are converted one at a time so
-    # no m x n list of Python floats is built.
-    row = " ".join(["%.17e"] * n) + "\n"
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"{m} {n}\n")
-        for i in range(m):
-            fh.write(row % tuple(a[i].tolist()))
+    if not m or not n:
+        raise ValueError(f"cannot write an empty {m}x{n} matrix: it could "
+                         f"not be read back")
+    rows = max(1, _TEXT_BLOCK // n)
+    seps = np.where(np.arange(rows * n) % n == n - 1, _NEWLINE, _SPACE)
+    words = np.empty((_TEXT_BLOCK, 7), "<u4")
+    with open(path, "wb") as fh:
+        fh.write(b"%d %d\n" % (m, n))
+        for i0 in range(0, m, rows):
+            block = a[i0:i0 + rows]
+            for j0 in range(0, n, _TEXT_BLOCK):
+                v = block[:, j0:j0 + _TEXT_BLOCK].reshape(-1)
+                fh.write(_format_block(v, seps[j0:j0 + v.size], words))
 
 
 def read_matrix(path):
-    """Read a matrix written by ``write_matrix``."""
-    with open(path, "r", encoding="ascii") as fh:
-        header = fh.readline().split()
-        if len(header) != 2:
-            raise ValueError(f"{path}: malformed header line")
-        m, n = int(header[0]), int(header[1])
-        data = np.loadtxt(fh, ndmin=2)
+    """Read a matrix written by ``write_matrix``.
+
+    Every error is a ``ValueError`` that names ``path``: a header line
+    that is not two positive integers (rejected before any row is
+    parsed), a token that is not a number, a ragged row, bytes that are
+    not ASCII, or a row count other than the header's.
+    """
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            line = fh.readline()
+            header = line.split()
+            if not (len(header) == 2
+                    and all(t.isdigit() and int(t) > 0 for t in header)):
+                raise ValueError(f"header must be two positive integers "
+                                 f"'m n'; got {line.rstrip()!r}")
+            m, n = int(header[0]), int(header[1])
+            data = np.loadtxt(fh, ndmin=2)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     if data.shape != (m, n):
         raise ValueError(
             f"{path}: header promises {m}x{n}, found {data.shape}"

@@ -381,6 +381,26 @@ def test_run_rejects_bundle_with_mismatched_shapes(instance_dir, tmp_path,
     assert not (out / "manifest").exists()
 
 
+@pytest.mark.parametrize("index, edit", [
+    (0, lambda line: "60 a"),
+    (0, lambda line: "-1 80"),
+    (2, lambda line: "1.0 x " * 40),
+    (2, lambda line: line.rsplit(" ", 1)[0]),
+], ids=["header", "negative-header", "token", "ragged"])
+def test_run_names_a_corrupt_matrix_file(instance_dir, tmp_path, capsys,
+                                         index, edit):
+    path = instance_dir / "M.mat"
+    lines = path.read_text().splitlines()
+    lines[index] = edit(lines[index])
+    path.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "bad"
+    rc = cli.main(["run", "--instance", str(instance_dir), "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ") and err.count("\n") == 1, err
+    assert not (out / "manifest").exists()
+
+
 def test_run_is_thin_shell_over_library(instance_dir, tmp_path):
     out = tmp_path / "cli_run"
     cli.main(["run", "--instance", str(instance_dir), "--delta", "0.05",

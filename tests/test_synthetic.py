@@ -1,4 +1,6 @@
 import tracemalloc
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -675,19 +677,119 @@ def _per_value_bytes(a):
     return ("\n".join(lines) + "\n").encode("ascii")
 
 
+def _with_neighbours(x):
+    """``x`` with both signs and one ulp below and above each value."""
+    x = np.concatenate([x, np.nextafter(x, 0), np.nextafter(x, np.inf)])
+    return np.concatenate([x, -x])
+
+
+def _log_uniform(gen, size, lo, hi):
+    signs = gen.choice([-1.0, 1.0], size)
+    return signs * np.exp(gen.uniform(np.log(lo), np.log(hi), size))
+
+
+_FAST_ROWS = np.random.default_rng(21).standard_normal((5, 9))
+
+
 @pytest.mark.parametrize("a", [
     np.array([[-0.0, 5e-324, 1e308], [-1e308, -5e-324, 0.0],
               [-1.5, 1.0 / 3.0, -2.2250738585072014e-308]]),
     np.array([[-7.25e-3]]),
     np.random.default_rng(18).standard_normal((4, 6)),
-], ids=["edges", "1x1", "gaussian"])
+    # Mostly outside the fast window: every kind of fallback value.
+    np.random.default_rng(22).integers(
+        0, 2 ** 64, size=(500, 20), dtype=np.uint64).view(float),
+    _log_uniform(np.random.default_rng(23), 20000, 1e-14, 1e14).reshape(
+        1000, 20),
+    _with_neighbours(10.0 ** np.arange(-22, 23)).reshape(-1, 6),
+    # k * 2**-20 with k odd has 19 significant digits, the last a 5, when
+    # it lies in [0.01, 0.1): it is a tie at 18 digits.  So is 2**-27.
+    np.concatenate([np.arange(10487, 104858, 14) * 2.0 ** -20,
+                    np.arange(10489, 104858, 14) * 2.0 ** -20,
+                    np.arange(0, 3000) + 0.5, [2.0 ** -27]])[:, None],
+    _with_neighbours(np.array([synthetic._FAST_MIN, synthetic._FAST_MAX,
+                               1e-10, 1e11])).reshape(8, 3),
+    np.vstack([_FAST_ROWS, [1.5, 0.0, -2.5e-11, 3e10, np.nan, -0.0, -np.inf,
+                            5e-324, -7.0], _FAST_ROWS]),
+    np.random.default_rng(24).standard_normal((3000, 1)),
+    np.random.default_rng(25).standard_normal(
+        (1, 2 * synthetic._TEXT_BLOCK + 5)),
+    np.random.default_rng(26).standard_normal((1000, 7)),
+], ids=["edges", "1x1", "gaussian", "bit-patterns", "log-uniform",
+        "powers-of-ten", "dyadic-ties", "window-edges", "mixed-row", "n=1",
+        "m=1", "ragged-last-block"])
 def test_write_matrix_bytes_match_per_value_format(tmp_path, a):
     path = tmp_path / "a.mat"
     write_matrix(path, a)
     assert path.read_bytes() == _per_value_bytes(a)
     got = read_matrix(path)
     np.testing.assert_array_equal(got, a)
-    np.testing.assert_array_equal(np.signbit(got), np.signbit(a))
+    # A NaN is written as "nan" whatever its sign bit, as Python prints it.
+    number = ~np.isnan(a)
+    np.testing.assert_array_equal(np.signbit(got)[number],
+                                  np.signbit(a)[number])
+
+
+def test_no_double_in_the_fast_window_rounds_into_the_next_decade():
+    # The formatter has no carry step: rounding to 18 digits reaches
+    # 10**j only from within half a unit in the 18th digit below it, and
+    # the largest double below each power of ten in the window is further.
+    for j in range(synthetic._EXP_MIN + 1, synthetic._EXP_MAX + 2):
+        power = Fraction(10) ** j
+        below = float(power)
+        while Fraction(below) >= power:
+            below = np.nextafter(below, 0)
+        assert power - Fraction(below) > Fraction(10) ** (j - 18) / 2, j
+
+
+def test_write_matrix_makes_no_m_by_n_temporary(tmp_path):
+    # numpy reports its buffers to tracemalloc.  The writer formats a
+    # block of a few thousand values at a time; formatting the whole
+    # matrix at once would need several m x n arrays.
+    m, n = 2000, 600
+    a = np.random.default_rng(27).standard_normal((m, n))
+    tracemalloc.start()
+    try:
+        write_matrix(tmp_path / "a.mat", a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.2 * 8 * m * n, peak / (8 * m * n)
+
+
+@pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0)])
+def test_write_matrix_rejects_an_empty_matrix(tmp_path, shape):
+    path = tmp_path / "a.mat"
+    with pytest.raises(ValueError, match="empty"):
+        write_matrix(path, np.zeros(shape))
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("header", [
+    "0 3", "-1 2", "3 0", "2", "2 3 4", "a 3", "2 x", "+2 2", "2.0 2", "",
+])
+def test_read_matrix_rejects_a_bad_header_before_parsing_rows(tmp_path,
+                                                              header):
+    path = tmp_path / "a.mat"
+    path.write_text(header + "\n1 2\n3 4\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as info:
+            read_matrix(path)
+    assert str(info.value) == (f"{path}: header must be two positive "
+                               f"integers 'm n'; got {header!r}")
+
+
+@pytest.mark.parametrize("body", [
+    b"2 2\n1 2\n3 x\n", b"2 2\n1 2\n3\n", b"2 2\n1 2\n3 \xff\n",
+    b"2 2\n1 2\n",
+], ids=["token", "ragged", "not-ascii", "short"])
+def test_read_matrix_names_its_file_in_every_error(tmp_path, body):
+    path = tmp_path / "a.mat"
+    path.write_bytes(body)
+    with pytest.raises(ValueError) as info:
+        read_matrix(path)
+    assert str(info.value).startswith(f"{path}: "), info.value
 
 
 def test_instance_bundle_round_trip(tmp_path):

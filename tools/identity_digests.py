@@ -16,6 +16,10 @@ Each line is a label and the first 16 hex digits of a SHA-256:
   seeds 0, 1 and 7.
 * ``cli``: each file the CLI writes for a fixed ``generate``, ``run``,
   ``sweep`` and ``verify``, the reruns that must stay byte-identical.
+* ``file``: the ``write_matrix`` bytes of an edge matrix (signed zeros,
+  the smallest subnormal, +-1e308, +-inf, nan, and powers of ten from
+  1e-12 to 1e12 with their one-ulp neighbours, which include the edges of
+  the writer's fast window) and of the 3000x300 sphere instance's ``M``.
 
 The digests of ``L`` depend on the BLAS build, so compare two trees on
 one machine; the script is not a test.
@@ -31,7 +35,8 @@ import numpy as np
 from adaptive_mc import cli
 from adaptive_mc.linalg import OrthonormalBasis
 from adaptive_mc.sampling import RngState
-from adaptive_mc.synthetic import add_bounded_noise, make_instance
+from adaptive_mc.synthetic import (add_bounded_noise, make_instance,
+                                   write_matrix)
 from adaptive_mc.verify import CHECK_NAMES, run_check
 
 # (m, n, r, epsilon, seed, noise_mode, coherence_mode)
@@ -65,6 +70,22 @@ CLI_COMMANDS = [
 
 def digest(data):
     return hashlib.sha256(data).hexdigest()[:16]
+
+
+def edge_matrix():
+    powers = 10.0 ** np.arange(-12, 13)
+    near = np.concatenate([powers, np.nextafter(powers, 0),
+                           np.nextafter(powers, np.inf)])
+    special = [0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, np.inf, -np.inf,
+               np.nan]
+    return np.concatenate([special, near, -near]).reshape(-1, 3)
+
+
+def file_digest(tmp, a):
+    path = os.path.join(tmp, "a.mat")
+    write_matrix(path, a)
+    with open(path, "rb") as fh:
+        return digest(fh.read())
 
 
 def report_bytes(rep):
@@ -106,6 +127,13 @@ def main():
             for name in sorted(os.listdir(os.path.join(tmp, sub))):
                 with open(os.path.join(tmp, sub, name), "rb") as fh:
                     print(f"cli {sub}/{name}: {digest(fh.read())}")
+
+        edges = edge_matrix()
+        print(f"file edge matrix {edges.shape[0]}x{edges.shape[1]}: "
+              f"{file_digest(tmp, edges)}")
+        inst = make_instance(3000, 300, 4, 0.05, 3)
+        print(f"file M 3000x300 r=4 eps=0.05 seed=3 sphere: "
+              f"{file_digest(tmp, inst.M)}")
 
 
 if __name__ == "__main__":
