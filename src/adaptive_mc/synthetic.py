@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import os
 import threading
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -596,14 +597,42 @@ def write_matrix(path, a):
                 fh.write(_format_block(v, seps[j0:j0 + v.size], words))
 
 
+def _bad_line(path, n):
+    """The first line of a matrix file (the header is line 1) holding a
+    byte that is not ASCII or, below the header and with ``n`` known, a
+    token that is not a number or a count of values other than ``n``, as
+    an error message; None if there is none."""
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                tokens = raw.decode("ascii").partition("#")[0].split()
+            except UnicodeDecodeError:
+                return f"line {lineno}: bytes that are not ASCII"
+            if lineno == 1 or n is None:
+                continue
+            for token in tokens:
+                try:
+                    if "_" in token:  # float() takes "1_0", loadtxt does not
+                        raise ValueError
+                    float(token)
+                except ValueError:
+                    return f"line {lineno}: {token!r} is not a number"
+            if tokens and len(tokens) != n:
+                return f"line {lineno}: expected {n} values, found {len(tokens)}"
+    return None
+
+
 def read_matrix(path):
     """Read a matrix written by ``write_matrix``.
 
     Every error is a ``ValueError`` that names ``path``: a header line
     that is not two positive integers (rejected before any row is
-    parsed), a token that is not a number, a ragged row, bytes that are
-    not ASCII, or a row count other than the header's.
+    parsed), a header with no data rows after it, a row count other than
+    the header's, or a line holding bytes that are not ASCII, a token
+    that is not a number or a ragged row.  A bad line is named by its
+    line number in the file, the header being line 1.
     """
+    n = None
     try:
         with open(path, "r", encoding="ascii") as fh:
             line = fh.readline()
@@ -613,9 +642,17 @@ def read_matrix(path):
                 raise ValueError(f"header must be two positive integers "
                                  f"'m n'; got {line.rstrip()!r}")
             m, n = int(header[0]), int(header[1])
-            data = np.loadtxt(fh, ndmin=2)
+            with warnings.catch_warnings():
+                warnings.filterwarnings(
+                    "error", "loadtxt: input contained no data", UserWarning)
+                data = np.loadtxt(fh, ndmin=2)
+    except UserWarning:
+        raise ValueError(f"{path}: no data rows after the header") from None
     except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+        # loadtxt numbers data rows, not file lines, and not alike in all
+        # of its messages; text decoding fails a whole block at a time.
+        # Rescan the file for the line at fault.
+        raise ValueError(f"{path}: {_bad_line(path, n) or exc}") from None
     if data.shape != (m, n):
         raise ValueError(
             f"{path}: header promises {m}x{n}, found {data.shape}"

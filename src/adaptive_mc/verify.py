@@ -8,14 +8,15 @@ matcher) report an empirical violation frequency that must stay within
 the stated bound plus three binomial standard errors, so finite-sample
 noise cannot flake a verdict.
 
-Every report is reproducible bit for bit from (name, params, seed): all
-randomness flows through per-trial substreams of the given seed.  Each
-check runs in two phases per chunk of trials.  A Python loop makes every
-trial's draws from that trial's own substream; the linear algebra then
-runs once over the stacked trials (QR frames, batched SVDs and
-eigenvalues).  The chunk size bounds memory and changes no result.
-Coherences, projections of vectors and angles come from ``linalg``,
-called on the stacks: the rules the completion run itself uses.
+Every report is reproducible bit for bit from (name, params, seed).  A
+check states its per-trial draw as ``draw(gen, t)``, a tuple of arrays
+from trial t's own generator; ``_draws`` stacks a chunk of trials, so the
+chunk size bounds memory and changes no draw.  The linear algebra runs
+once per stack (QR frames, batched SVDs and eigenvalues), and a
+``_Tally`` folds the margins into the report.  ``ks14`` alone builds its
+generators itself: it draws each applicable trial's row sample after the
+batched algebra.  Coherences, projections and angles come from
+``linalg``, the rules the completion run itself uses.
 """
 
 from __future__ import annotations
@@ -110,20 +111,52 @@ class CheckReport:
         return "PASS" if ok else "FAIL"
 
 
-def _as_state(rng, name, trials):
-    """Per-check root stream from an int seed or RngState.  Every
-    trial-driven check calls this before its first draw, so it also
-    validates ``trials``."""
+@dataclass
+class _Tally:
+    """One check's margins, folded chunk by chunk: how many were measured,
+    how many fell below ``-tol``, and the worst."""
+
+    name: str
+    trials: int
+    seed: int | None
+    tol: float = DET_TOL
+    measured: int = 0
+    violations: int = 0
+    worst: float = math.inf
+
+    def add(self, margins):
+        if margins.size:
+            self.worst = min(self.worst, float(margins.min()))
+        self.measured += margins.size
+        self.violations += int(np.count_nonzero(margins < -self.tol))
+
+    def report(self, params, denominator=None, **extra):
+        """The ``CheckReport``; the rate is over all trials by default."""
+        return CheckReport(
+            name=self.name, trials=self.trials, violations=self.violations,
+            worst_margin=0.0 if self.worst == math.inf else self.worst,
+            params=params,
+            denominator=self.trials if denominator is None else denominator,
+            seed=self.seed, **extra,
+        )
+
+
+def _start(rng, name, trials, tol=DET_TOL):
+    """Per-check root stream from an int seed or RngState, and the check's
+    empty tally.  Every trial-driven check calls this before its first
+    draw, so it also validates ``trials``."""
     if not (isinstance(trials, (int, np.integer)) and trials >= 1):
         raise ValueError(f"trials must be a positive integer; got {trials}")
     stream = _CHECKS[name][0]
     if isinstance(rng, RngState):
-        return rng.substream(stream)
-    if isinstance(rng, (int, np.integer)):
-        return RngState(int(rng), stream)
-    raise TypeError(
-        "checks need a replayable stream; pass an integer seed or RngState"
-    )
+        state = rng.substream(stream)
+    elif isinstance(rng, (int, np.integer)):
+        state = RngState(int(rng), stream)
+    else:
+        raise TypeError(
+            "checks need a replayable stream; pass an integer seed or RngState"
+        )
+    return state, _Tally(name, trials, state.seed, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -146,8 +179,11 @@ def _chunks(first, stop, floats_per_trial):
         yield range(lo, min(lo + size, stop))
 
 
-def _generators(state, chunk):
-    return [state.substream(t).generator() for t in chunk]
+def _draws(state, chunk, draw):
+    """Stacks of ``draw(gen, t)`` over the trials of ``chunk``, each
+    trial's tuple of arrays drawn from its own substream's generator."""
+    per_trial = [draw(state.substream(t).generator(), t) for t in chunk]
+    return [np.array(column) for column in zip(*per_trial)]
 
 
 def _reject(basis, x):
@@ -180,12 +216,14 @@ def _full_frames(raw):
     return q
 
 
-def _rotated(base, w, angles):
+def _tilted(base, raw_w, angles):
     """Turn each direction of ``base`` by its own angle toward the matching
-    direction of the orthogonal frame ``w``; the result is again
-    orthonormal and its largest principal angle to ``base`` equals the
-    largest per-column angle."""
-    return base * np.cos(angles)[:, None, :] + w * np.sin(angles)[:, None, :]
+    direction of a frame orthogonal to it, made from ``raw_w``.  Returns
+    the tilted frames, again orthonormal, and their largest principal
+    angle to ``base`` (the largest per-column angle, up to rounding)."""
+    w = _full_frames(_reject(base, raw_w))
+    tilted = base * np.cos(angles)[:, None, :] + w * np.sin(angles)[:, None, :]
+    return tilted, subspace_subspace_angle(tilted, base)
 
 
 def _restricted_residuals(basis, y, mask):
@@ -211,13 +249,6 @@ def _check_unit_delta(delta):
         raise ValueError(f"delta must lie in (0, 1); got {delta}")
 
 
-def _tally(margins, tol, worst, violations):
-    """Fold a chunk's margins into the running worst margin and count."""
-    if margins.size:
-        worst = min(worst, float(margins.min()))
-    return worst, violations + int(np.count_nonzero(margins < -tol))
-
-
 # ---------------------------------------------------------------------------
 # Deterministic inequalities
 # ---------------------------------------------------------------------------
@@ -228,28 +259,21 @@ def check_kcoh(m, r, k, trials, rng):
     axis into U to probe the maximally coherent corner."""
     if not 1 <= k <= r <= m:
         raise ValueError("need 1 <= k <= r <= m")
-    state = _as_state(rng, "kcoh", trials)
-    violations = 0
-    worst = math.inf
+    state, tally = _start(rng, "kcoh", trials)
+
+    def draw(gen, t):
+        raw = gen.standard_normal((m, r))
+        if t % 4 == 3:
+            raw[:, 0] = 0.0
+            raw[int(gen.integers(m)), 0] = 1.0
+        return raw, gen.standard_normal((r, k))
+
     for chunk in _chunks(0, trials, m * r):
-        raw = np.empty((len(chunk), m, r))
-        coef = np.empty((len(chunk), r, k))
-        for i, (t, gen) in enumerate(zip(chunk, _generators(state, chunk))):
-            raw[i] = gen.standard_normal((m, r))
-            if t % 4 == 3:
-                raw[i, :, 0] = 0.0
-                raw[i, int(gen.integers(m)), 0] = 1.0
-            coef[i] = gen.standard_normal((r, k))
+        raw, coef = _draws(state, chunk, draw)
         u = _full_frames(raw)
         sub = _full_frames(u @ coef)
-        margins = r * coherence(u) - k * coherence(sub)
-        worst, violations = _tally(margins, DET_TOL, worst, violations)
-    return CheckReport(
-        name="kcoh", trials=trials, violations=violations,
-        worst_margin=_finite(worst),
-        params={"m": m, "r": r, "k": k, "spiked_every": 4},
-        denominator=trials, seed=state.seed,
-    )
+        tally.add(r * coherence(u) - k * coherence(sub))
+    return tally.report({"m": m, "r": r, "k": k, "spiked_every": 4})
 
 
 def check_noisycoh(m, k, theta_max, trials, rng):
@@ -260,29 +284,19 @@ def check_noisycoh(m, k, theta_max, trials, rng):
         raise ValueError("need 1 <= k <= m/2 to rotate into the complement")
     if not 0.0 < theta_max < math.pi / 2:
         raise ValueError("theta_max must lie in (0, pi/2)")
-    state = _as_state(rng, "noisycoh", trials)
-    violations = 0
-    worst = math.inf
+    state, tally = _start(rng, "noisycoh", trials)
+
+    def draw(gen, t):
+        return (gen.standard_normal((m, k)), gen.standard_normal((m, k)),
+                gen.uniform(0.0, theta_max, size=k))
+
     for chunk in _chunks(0, trials, m * k):
-        raw_u = np.empty((len(chunk), m, k))
-        raw_w = np.empty((len(chunk), m, k))
-        angles = np.empty((len(chunk), k))
-        for i, gen in enumerate(_generators(state, chunk)):
-            raw_u[i] = gen.standard_normal((m, k))
-            raw_w[i] = gen.standard_normal((m, k))
-            angles[i] = gen.uniform(0.0, theta_max, size=k)
+        raw_u, raw_w, angles = _draws(state, chunk, draw)
         u = _full_frames(raw_u)
-        tilted = _rotated(u, _full_frames(_reject(u, raw_w)), angles)
-        theta = subspace_subspace_angle(tilted, u)
-        margins = (2.0 * coherence(u) + 2.0 * (m / k) * theta ** 2
-                   - coherence(tilted))
-        worst, violations = _tally(margins, DET_TOL, worst, violations)
-    return CheckReport(
-        name="noisycoh", trials=trials, violations=violations,
-        worst_margin=_finite(worst),
-        params={"m": m, "k": k, "theta_max": theta_max},
-        denominator=trials, seed=state.seed,
-    )
+        tilted, theta = _tilted(u, raw_w, angles)
+        tally.add(2.0 * coherence(u) + 2.0 * (m / k) * theta ** 2
+                  - coherence(tilted))
+    return tally.report({"m": m, "k": k, "theta_max": theta_max})
 
 
 def check_ind(k_max, epsilon, trials, rng=0):
@@ -298,27 +312,21 @@ def check_ind(k_max, epsilon, trials, rng=0):
         raise ValueError("k_max must be >= 1")
     if not 0.0 < epsilon < math.inf:
         raise ValueError(f"epsilon must be positive and finite; got {epsilon}")
-    state = _as_state(rng, "ind", trials)
+    state, tally = _start(rng, "ind", trials, tol=1e-12)
     ks = np.arange(1, k_max + 1, dtype=float)
     max_steps = (math.pi / 2.0) * np.sqrt(epsilon / ks)
     caps = 1.5 * math.pi * np.sqrt(ks * epsilon)
-    violations = 0
-    worst = math.inf
+
+    def draw(gen, t):
+        return (np.ones(k_max) if t == 0 else gen.uniform(size=k_max),)
+
     for chunk in _chunks(0, trials, k_max):
-        c = np.ones((len(chunk), k_max))
-        for i, t in enumerate(chunk):
-            if t != 0:
-                c[i] = state.substream(t).generator().uniform(size=k_max)
+        c, = _draws(state, chunk, draw)
         c *= max_steps
         np.cumsum(c, axis=1, out=c)
-        lows = np.min(caps - c, axis=1)
-        worst, violations = _tally(lows, 1e-12, worst, violations)
-    return CheckReport(
-        name="ind", trials=trials, violations=violations,
-        worst_margin=_finite(worst),
-        params={"k_max": k_max, "epsilon": epsilon, "extremal_first": True},
-        denominator=trials, seed=state.seed,
-    )
+        tally.add(np.min(caps - c, axis=1))
+    return tally.report(
+        {"k_max": k_max, "epsilon": epsilon, "extremal_first": True})
 
 
 def check_ededler(m_values, r_values, delta_values, theta_values=None):
@@ -338,10 +346,8 @@ def check_ededler(m_values, r_values, delta_values, theta_values=None):
         _check_unit_delta(delta)
     if theta_values is None:
         theta_values = np.linspace(0.0, math.pi / 2, 9)
-    trials = 0
     skipped = 0
-    violations = 0
-    worst = math.inf
+    margins = []
     for m in m_values:
         for r in r_values:
             for delta in delta_values:
@@ -351,23 +357,16 @@ def check_ededler(m_values, r_values, delta_values, theta_values=None):
                 ln_inv = math.log(1.0 / delta)
                 for theta in theta_values:
                     d = _budget_formula(1.0, r, delta, m, theta)
-                    margin = d / 4.0 - (
+                    margins.append(d / 4.0 - (
                         18.0 * r * ln_inv ** 2 + 18.0 * theta ** 2 * ln_inv ** 2
-                    )
-                    trials += 1
-                    worst = min(worst, margin)
-                    if margin < -DET_TOL:
-                        violations += 1
-    return CheckReport(
-        name="ededler", trials=trials, violations=violations,
-        worst_margin=_finite(worst),
-        params={
-            "m_values": list(m_values), "r_values": list(r_values),
-            "delta_values": list(delta_values),
-            "theta_points": len(theta_values), "skipped_cells": skipped,
-        },
-        denominator=trials, seed=None,
-    )
+                    ))
+    tally = _Tally("ededler", len(margins), None)
+    tally.add(np.array(margins))
+    return tally.report({
+        "m_values": list(m_values), "r_values": list(r_values),
+        "delta_values": list(delta_values),
+        "theta_points": len(theta_values), "skipped_cells": skipped,
+    })
 
 
 def check_blum(m, k, trials, rng):
@@ -382,21 +381,16 @@ def check_blum(m, k, trials, rng):
     U.  Trials where b~ (or b) falls into U are skipped and counted."""
     if not 2 <= k <= m:
         raise ValueError("need 2 <= k <= m")
-    state = _as_state(rng, "blum", trials)
-    violations = 0
-    skipped = 0
-    worst = math.inf
+    state, tally = _start(rng, "blum", trials)
+
+    def draw(gen, t):
+        raw_u = gen.standard_normal((m, k - 1))
+        b = gen.standard_normal(m)
+        scale = 10.0 ** gen.uniform(-4.0, 0.5) if t % 3 == 0 else 0.0
+        return raw_u, b, scale, gen.standard_normal(m)
+
     for chunk in _chunks(0, trials, m * k):
-        raw_u = np.empty((len(chunk), m, k - 1))
-        b = np.empty((len(chunk), m))
-        noise = np.empty((len(chunk), m))
-        scale = np.zeros(len(chunk))
-        for i, (t, gen) in enumerate(zip(chunk, _generators(state, chunk))):
-            raw_u[i] = gen.standard_normal((m, k - 1))
-            b[i] = gen.standard_normal(m)
-            if t % 3 == 0:
-                scale[i] = 10.0 ** gen.uniform(-4.0, 0.5)
-            noise[i] = gen.standard_normal(m)
+        raw_u, b, scale, noise = _draws(state, chunk, draw)
         u = _full_frames(raw_u)
         b /= np.linalg.norm(b, axis=1, keepdims=True)
         style = np.arange(chunk.start, chunk.stop) % 3
@@ -416,16 +410,11 @@ def check_blum(m, k, trials, rng):
         v, v_full = _frames(np.concatenate([u, b[..., None]], axis=2))
         vt, vt_full = _frames(np.concatenate([u, btilde[..., None]], axis=2))
         ok = (theta_bu >= 1e-8) & v_full & vt_full
-        skipped += len(chunk) - int(np.count_nonzero(ok))
         lhs = subspace_subspace_angle(v[ok], vt[ok])
         rhs = (math.pi / 2.0) * vector_vector_angle(btilde[ok], b[ok]) / theta_bu[ok]
-        worst, violations = _tally(rhs - lhs, DET_TOL, worst, violations)
-    return CheckReport(
-        name="blum", trials=trials, violations=violations,
-        worst_margin=_finite(worst),
-        params={"m": m, "k": k, "skipped": skipped},
-        denominator=trials - skipped, seed=state.seed,
-    )
+        tally.add(rhs - lhs)
+    return tally.report({"m": m, "k": k, "skipped": trials - tally.measured},
+                        denominator=tally.measured)
 
 
 # ---------------------------------------------------------------------------
@@ -451,7 +440,7 @@ def check_conc(m, k, d, epsilon, delta, trials, rng):
                          "the complement")
     _check_epsilon(epsilon)
     _check_unit_delta(delta)
-    state = _as_state(rng, "conc", trials)
+    state, tally = _start(rng, "conc", trials)
     sqrt_keps = math.sqrt(k * epsilon)
     if d is None:
         d = min(m, _budget_formula(1.0, k, delta, m, sqrt_keps))
@@ -459,41 +448,34 @@ def check_conc(m, k, d, epsilon, delta, trials, rng):
         raise ValueError("need 1 <= d <= m")
     d = int(d)
     spread = min(math.pi / 4, 1.5 * math.pi * math.sqrt((k - 1) * epsilon))
-    fired = 0
-    violations = 0
-    worst = math.inf
-    for chunk in _chunks(0, trials, m * k):
-        c = len(chunk)
-        raw_base = np.empty((c, m, k - 1))
-        raw_w = np.empty((c, m, k - 1))
-        angles = np.empty((c, k - 1))
-        psi = np.empty(c)
-        inside = np.empty((c, k - 1))
-        outside = np.empty((c, m, 1))
-        clean = np.empty((c, m))
-        noise = np.empty((c, m))
-        mask = np.zeros((c, m), dtype=bool)
-        for i, gen in enumerate(_generators(state, chunk)):
-            if k == 1:
-                clean[i] = gen.standard_normal(m)
-            else:
-                raw_base[i] = gen.standard_normal((m, k - 1))
-                max_angle = gen.uniform(0.0, spread)
-                raw_w[i] = gen.standard_normal((m, k - 1))
-                angles[i] = gen.uniform(0.0, max_angle, size=k - 1)
-                psi[i] = gen.uniform(0.0, math.pi / 2)
-                inside[i] = gen.standard_normal(k - 1)
-                outside[i] = gen.standard_normal((m, 1))
-            noise[i] = gen.standard_normal(m)
-            mask[i, sample_uniform_subset(m, d, gen)] = True
+
+    def draw(gen, t):
+        # k = 1 tests against the empty subspace: only a clean column.
         if k == 1:
-            tilted = np.zeros((c, m, 0))
-            theta = np.zeros(c)
+            frame = (gen.standard_normal(m),)
+        else:
+            raw_base = gen.standard_normal((m, k - 1))
+            max_angle = gen.uniform(0.0, spread)
+            frame = (raw_base, gen.standard_normal((m, k - 1)),
+                     gen.uniform(0.0, max_angle, size=k - 1),
+                     gen.uniform(0.0, math.pi / 2), gen.standard_normal(k - 1),
+                     gen.standard_normal((m, 1)))
+        noise = gen.standard_normal(m)
+        mask = np.zeros(m, dtype=bool)
+        mask[sample_uniform_subset(m, d, gen)] = True
+        return *frame, noise, mask
+
+    for chunk in _chunks(0, trials, m * k):
+        *frame, noise, mask = _draws(state, chunk, draw)
+        if k == 1:
+            clean, = frame
+            tilted = np.zeros((len(chunk), m, 0))
+            theta = np.zeros(len(chunk))
             clean /= np.linalg.norm(clean, axis=1, keepdims=True)
         else:
+            raw_base, raw_w, angles, psi, inside, outside = frame
             base = _full_frames(raw_base)
-            tilted = _rotated(base, _full_frames(_reject(base, raw_w)), angles)
-            theta = subspace_subspace_angle(tilted, base)
+            tilted, theta = _tilted(base, raw_w, angles)
             inside /= np.linalg.norm(inside, axis=1, keepdims=True)
             outside = _full_frames(_reject(base, outside))[..., 0]
             clean = (np.cos(psi)[:, None] * (base @ inside[..., None])[..., 0]
@@ -502,16 +484,12 @@ def check_conc(m, k, d, epsilon, delta, trials, rng):
             noise / np.linalg.norm(noise, axis=1, keepdims=True))
         residual = _restricted_residuals(tilted, column, mask)
         hit = residual > residual_threshold(d, m, k, epsilon, theta)
-        fired += int(np.count_nonzero(hit))
         angle = vector_subspace_angle(column[hit], tilted[hit])
-        margins = angle - (theta[hit] + sqrt_keps)
-        worst, violations = _tally(margins, DET_TOL, worst, violations)
-    return CheckReport(
-        name="conc", trials=trials, violations=violations,
-        worst_margin=_finite(worst),
-        params={"m": m, "k": k, "d": d, "epsilon": epsilon, "delta": delta,
-                "fired": fired},
-        denominator=trials, theoretical_bound=2.0 * delta, seed=state.seed,
+        tally.add(angle - (theta[hit] + sqrt_keps))
+    return tally.report(
+        {"m": m, "k": k, "d": d, "epsilon": epsilon, "delta": delta,
+         "fired": tally.measured},
+        theoretical_bound=2.0 * delta,
     )
 
 
@@ -543,24 +521,19 @@ def check_ks14(m, k, d, delta, trials, rng):
     if d is not None and not 1 <= d <= m:
         raise ValueError("need 1 <= d <= m")
     _check_unit_delta(delta)
-    state = _as_state(rng, "ks14", trials)
+    state, tally = _start(rng, "ks14", trials, tol=1e-12)
     ln_inv = math.log(1.0 / delta)
     ln_2k = math.log(2.0 * k / delta)
     beta = (1.0 + 2.0 * ln_inv) ** 2
-    upper_applicable = 0
     lower_applicable = 0
-    violations = 0
     lower_violations = 0
-    worst = math.inf
     d_lo, d_hi = math.inf, 0
     for chunk in _chunks(0, trials, m * k):
-        gens = _generators(state, chunk)
-        raw = np.empty((len(chunk), m, k))
-        y = np.empty((len(chunk), m))
-        for i, gen in enumerate(gens):
-            raw[i] = gen.standard_normal((m, k))
-            y[i] = gen.standard_normal(m)
-        basis = _full_frames(raw)
+        # Not ``_draws``: Omega is drawn only for applicable trials, from
+        # their generators, after the batched algebra that decides it.
+        gens = [state.substream(t).generator() for t in chunk]
+        basis = _full_frames(np.array([g.standard_normal((m, k)) for g in gens]))
+        y = np.array([g.standard_normal(m) for g in gens])
         resid_full = y - project(basis, y)
         r2_full = np.einsum("ti,ti->t", resid_full, resid_full)
         mu_sub = coherence(basis)
@@ -587,8 +560,6 @@ def check_ks14(m, k, d, delta, trials, rng):
         zeta = np.sqrt((8.0 * k * mu_sub / (3.0 * d_t)) * ln_2k)
         use = (alpha < 0.5) & (d_t >= d_pre)
 
-        # Omega is drawn only for applicable trials, after the data that
-        # decides applicability.
         mask = np.zeros((len(chunk), m), dtype=bool)
         for i in np.flatnonzero(use):
             mask[i, sample_uniform_subset(m, d_t[i], gens[i])] = True
@@ -597,29 +568,25 @@ def check_ks14(m, k, d, delta, trials, rng):
         d_t, alpha, zeta, mu_sub, r2_full = (
             d_t[use], alpha[use], zeta[use], mu_sub[use], r2_full[use])
 
-        upper_applicable += int(np.count_nonzero(use))
-        margins = (1.0 + alpha) * (d_t / m) * r2_full - r2_restricted
-        worst, violations = _tally(margins, 1e-12, worst, violations)
+        tally.add((1.0 + alpha) * (d_t / m) * r2_full - r2_restricted)
         low = zeta < 1.0 / 3.0
         lower_applicable += int(np.count_nonzero(low))
         lower = ((d_t * (1.0 - alpha) - k * mu_sub * beta / (1.0 - zeta))
                  / m) * r2_full
         lower_violations += int(np.count_nonzero(
             low & (r2_restricted < lower - 1e-12)))
-    return CheckReport(
-        name="ks14", trials=trials, violations=violations,
-        worst_margin=_finite(worst),
-        params={
+    return tally.report(
+        {
             "m": m, "k": k, "delta": delta,
             "d": "per-trial" if d is None else int(d),
             "d_min": 0 if d_lo == math.inf else d_lo,
             "d_max": d_hi,
-            "upper_applicable": upper_applicable,
+            "upper_applicable": tally.measured,
             "lower_applicable": lower_applicable,
             "lower_violations": lower_violations,
         },
-        denominator=upper_applicable, theoretical_bound=2.0 * delta,
-        seed=state.seed, not_applicable=upper_applicable == 0,
+        denominator=tally.measured, theoretical_bound=2.0 * delta,
+        not_applicable=tally.measured == 0,
     )
 
 
@@ -646,7 +613,7 @@ def check_matcher(n_dim, r, L_bound, epsilon_chern, trials, rng, num_draws=200):
         raise ValueError("num_draws must be >= 1")
     if L_bound is not None and not 0.0 < L_bound < math.inf:
         raise ValueError(f"L_bound must be positive and finite; got {L_bound}")
-    state = _as_state(rng, "matcher", trials)
+    state, tally = _start(rng, "matcher", trials, tol=0.0)
     gen = state.substream(0).generator()
     rows = _full_frames(gen.standard_normal((n_dim, r))[None])[0]
     row_sq = np.einsum("ij,ij->i", rows, rows)
@@ -662,30 +629,21 @@ def check_matcher(n_dim, r, L_bound, epsilon_chern, trials, rng, num_draws=200):
         tail = r * math.exp(ratio * (-eps - (1.0 - eps) * math.log1p(-eps)))
     cutoff = (1.0 - eps) * mu_r
 
-    violations = 0
-    worst = math.inf
     for chunk in _chunks(1, trials + 1, num_draws * r):
-        idx = np.stack([gen.integers(0, n_dim, size=num_draws)
-                        for gen in _generators(state, chunk)])
+        idx, = _draws(state, chunk,
+                      lambda gen, t: (gen.integers(0, n_dim, size=num_draws),))
         sampled = rows[idx]
         lam_r = np.linalg.eigvalsh(
             scale * (np.swapaxes(sampled, 1, 2) @ sampled))[:, 0]
-        worst, violations = _tally(lam_r - cutoff, 0.0, worst, violations)
-    return CheckReport(
-        name="matcher", trials=trials, violations=violations,
-        worst_margin=_finite(worst),
-        params={
+        tally.add(lam_r - cutoff)
+    return tally.report(
+        {
             "n_dim": n_dim, "r": r, "num_draws": num_draws,
             "L": l_eff, "mu_r": mu_r, "epsilon_chern": eps,
             "vacuous": tail >= 1.0,
         },
-        denominator=trials, theoretical_bound=tail,
-        seed=state.seed,
+        theoretical_bound=tail,
     )
-
-
-def _finite(x):
-    return 0.0 if x == math.inf else float(x)
 
 
 # ---------------------------------------------------------------------------

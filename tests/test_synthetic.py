@@ -780,16 +780,43 @@ def test_read_matrix_rejects_a_bad_header_before_parsing_rows(tmp_path,
                                f"integers 'm n'; got {header!r}")
 
 
-@pytest.mark.parametrize("body", [
-    b"2 2\n1 2\n3 x\n", b"2 2\n1 2\n3\n", b"2 2\n1 2\n3 \xff\n",
-    b"2 2\n1 2\n",
-], ids=["token", "ragged", "not-ascii", "short"])
-def test_read_matrix_names_its_file_in_every_error(tmp_path, body):
+@pytest.mark.parametrize("body, message", [
+    (b"2 2\n1 2\n3 x\n", "line 3: 'x' is not a number"),
+    (b"2 2\n1 2\n3\n", "line 3: expected 2 values, found 1"),
+    (b"2 2\n1 2\n3 \xff\n", "line 3: bytes that are not ASCII"),
+    (b"2 2\n1 2\n", "header promises 2x2, found (1, 2)"),
+    (b"2 2\n", "no data rows after the header"),
+], ids=["token", "ragged", "not-ascii", "short", "no-rows"])
+def test_read_matrix_names_its_file_in_every_error(tmp_path, body, message):
     path = tmp_path / "a.mat"
     path.write_bytes(body)
     with pytest.raises(ValueError) as info:
         read_matrix(path)
-    assert str(info.value).startswith(f"{path}: "), info.value
+    assert str(info.value) == f"{path}: {message}"
+
+
+# Lines are counted in the file, the header being line 1, whatever lies
+# between the rows; numpy's own row numbers skip blank lines.
+@pytest.mark.parametrize("body, line", [
+    (b"2 3\n1 2 3\n4 x 6\n", 3),
+    (b"2 3\n1 2 3\n4 1_0 6\n", 3),
+    (b"2 3\n1 2 3\n4 6\n", 3),
+    (b"2 3\nx 2 3\n4 5 6\n", 2),
+    (b"2 3\n1 2 3 4\n5 6 7\n", 2),
+    (b"2 3\n1 2 3\n\n\n4 x 6\n", 5),
+    (b"2 3\n1 2 3\n4 5 \xff\n", 3),
+    (b"\xff 3\n1 2 3\n", 1),
+    (b"2 3\n" + b"1 2 3\n" * 3000 + b"4 x 6\n", 3002),
+    (b"2 3\n" + b"1 2 3\n" * 3000 + b"4 5 \xff\n", 3002),
+], ids=["token", "underscore", "short-row", "token-first-row", "long-row", "blank-lines",
+        "not-ascii", "not-ascii-header", "token-far", "not-ascii-far"])
+def test_read_matrix_errors_give_the_file_line(tmp_path, body, line):
+    path = tmp_path / "a.mat"
+    path.write_bytes(body)
+    with pytest.raises(ValueError) as info:
+        read_matrix(path)
+    assert str(info.value).startswith(f"{path}: line {line}: "), info.value
+    assert "usecols" not in str(info.value)
 
 
 def test_instance_bundle_round_trip(tmp_path):

@@ -99,7 +99,7 @@ def test_out_of_range_parameters_rejected_before_any_draw(
         run_check(name, trials=20, seed=0, **overrides)
 
 
-# Every trial-driven check takes its stream through ``_as_state``, which
+# Every trial-driven check takes its stream through ``_start``, which
 # refuses a trial count below one, a vacuous PASS or N/A otherwise, before
 # the first generator is built.
 @pytest.mark.parametrize("trials", [0, -3])
@@ -464,6 +464,18 @@ def test_conc_subsampled_regime():
                      trials=1500, rng=10)
     assert rep.params["fired"] > 100
     assert rep.violation_rate <= 2 * 0.05 + rep.slack
+
+
+def test_conc_against_the_empty_subspace():
+    # k = 1 tests a unit column against no subspace: every restricted
+    # residual beats the threshold and every angle is exactly pi/2.
+    rep = check_conc(m=200, k=1, d=None, epsilon=0.01, delta=0.05,
+                     trials=500, rng=4)
+    assert rep.params["fired"] == 500
+    assert rep.violations == 0
+    assert rep.verdict == "PASS"
+    assert rep.worst_margin == pytest.approx(
+        math.pi / 2 - math.sqrt(0.01), abs=1e-12)
 
 
 def test_conc_default_budget_is_the_run_budget():
