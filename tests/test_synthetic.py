@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adaptive_mc.linalg import (
     OrthonormalBasis,
@@ -690,8 +692,7 @@ def _log_uniform(gen, size, lo, hi):
 
 _FAST_ROWS = np.random.default_rng(21).standard_normal((5, 9))
 
-
-@pytest.mark.parametrize("a", [
+_WRITTEN = [
     np.array([[-0.0, 5e-324, 1e308], [-1e308, -5e-324, 0.0],
               [-1.5, 1.0 / 3.0, -2.2250738585072014e-308]]),
     np.array([[-7.25e-3]]),
@@ -715,9 +716,13 @@ _FAST_ROWS = np.random.default_rng(21).standard_normal((5, 9))
     np.random.default_rng(25).standard_normal(
         (1, 2 * synthetic._TEXT_BLOCK + 5)),
     np.random.default_rng(26).standard_normal((1000, 7)),
-], ids=["edges", "1x1", "gaussian", "bit-patterns", "log-uniform",
-        "powers-of-ten", "dyadic-ties", "window-edges", "mixed-row", "n=1",
-        "m=1", "ragged-last-block"])
+]
+_WRITTEN_IDS = ["edges", "1x1", "gaussian", "bit-patterns", "log-uniform",
+                "powers-of-ten", "dyadic-ties", "window-edges", "mixed-row",
+                "n=1", "m=1", "ragged-last-block"]
+
+
+@pytest.mark.parametrize("a", _WRITTEN, ids=_WRITTEN_IDS)
 def test_write_matrix_bytes_match_per_value_format(tmp_path, a):
     path = tmp_path / "a.mat"
     write_matrix(path, a)
@@ -819,6 +824,121 @@ def test_read_matrix_errors_give_the_file_line(tmp_path, body, line):
     assert "usecols" not in str(info.value)
 
 
+def _same_bits(got, want):
+    """Bit-identical, except that a NaN need only match a NaN."""
+    nan = np.isnan(want)
+    return (got.shape == want.shape and np.array_equal(np.isnan(got), nan)
+            and got[~nan].tobytes() == want[~nan].tobytes())
+
+
+_READ_EDGES = [0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, np.inf, -np.inf,
+               np.nan, *_with_neighbours(np.array([synthetic._FAST_MIN,
+                                                   synthetic._FAST_MAX]))]
+_ANY_DOUBLE = st.integers(0, 2 ** 64 - 1).map(
+    lambda bits: float(np.uint64(bits).view(np.float64)))
+_WINDOW_DOUBLE = st.tuples(st.floats(synthetic._FAST_MIN, synthetic._FAST_MAX),
+                           st.booleans()).map(lambda v: -v[0] if v[1] else v[0])
+
+
+@st.composite
+def _matrices(draw):
+    m, n = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    values = st.one_of(_ANY_DOUBLE, _WINDOW_DOUBLE, st.floats(),
+                       st.sampled_from(_READ_EDGES))
+    return np.array(draw(st.lists(values, min_size=m * n, max_size=m * n)),
+                    dtype=float).reshape(m, n)
+
+
+@settings(deadline=None, max_examples=150)
+@given(a=_matrices())
+def test_read_matrix_round_trip_is_bit_identical(tmp_path_factory, a):
+    path = tmp_path_factory.mktemp("prop") / "a.mat"
+    write_matrix(path, a)
+    got = read_matrix(path)
+    assert _same_bits(got, a)
+    assert _same_bits(got, np.loadtxt(path, skiprows=1, ndmin=2))
+
+
+def _refuse_loadtxt(*args, **kwargs):
+    raise AssertionError("np.loadtxt was called")
+
+
+@pytest.mark.parametrize("a", _WRITTEN + [
+    np.random.default_rng(28).standard_normal((2000, 60)),
+    np.random.default_rng(29).standard_normal((2, 30000)),
+], ids=_WRITTEN_IDS + ["several-chunks", "row-above-a-chunk"])
+def test_read_matrix_parses_the_writers_text_without_loadtxt(tmp_path,
+                                                             monkeypatch, a):
+    assert 30000 * 24 > synthetic._READ_CHUNK     # one row spans chunks
+    path = tmp_path / "a.mat"
+    write_matrix(path, a)
+    want = np.loadtxt(path, skiprows=1, ndmin=2)
+    monkeypatch.setattr(np, "loadtxt", _refuse_loadtxt)
+    assert _same_bits(read_matrix(path), want)
+
+
+def _own_rows(*rows):
+    return b"".join(b" ".join(b"%.17e" % v for v in row) + b"\n"
+                    for row in rows)
+
+
+_OWN = _own_rows([1.5, -2.0], [3.25e-5, 4e9])
+_LONG = _own_rows(*([i + 0.5, -i - 0.25] for i in range(30000)))
+
+
+# Text that is not the writer's own goes to np.loadtxt whole, and reads
+# or fails as it did before the writer's layout was parsed on its own.
+@pytest.mark.parametrize("body, message", [
+    (b"2 2\n# note\n" + _OWN.replace(b"\n", b" # tail\n", 1), None),
+    (b"2 2\n" + _OWN.replace(b" ", b"\t"), None),
+    (b"2 2\r\n" + _OWN.replace(b"\n", b"\r\n"), None),
+    (b"2 2\n" + _OWN.replace(b"\n", b"\r\n"), None),
+    (b"2 2\n+1.0 2.0\n3.0 4.0\n", None),
+    (b"2 2\n1e5 2\n3 4\n", None),
+    (b"2 2\n" + _OWN + b"\n", None),
+    (b"2 2\n" + _OWN[:-1], None),
+    (b"2 2\n" + _OWN.replace(b"1.50000000000000000e+00",
+                             b"1.00000000000000001e+00"), None),
+    (b"2 2\n" + _OWN.replace(b"e+00", b"E+00"), None),
+    (b"2 2\n" + _OWN.replace(b" ", b"  ", 1), None),
+    (b"2 2\n " + _OWN, None),
+    (b"2 2\n" + _OWN.replace(b"-2.00000000000000000e+00", b"-nan"), None),
+    (b"02 2\n" + _OWN, None),
+    (b"30000 2\n" + _LONG[:-1] + b"\r\n", None),
+    (b"30000 2\n" + _LONG + b"# done\n", None),
+    (b"1 2\n" + _OWN, "header promises 1x2, found (2, 2)"),
+    (b"2 2\n" + _OWN.replace(b" ", b"\n", 1),
+     "line 2: expected 2 values, found 1"),
+    (b"29999 2\n" + _LONG, "header promises 29999x2, found (30000, 2)"),
+    (b"30001 2\n" + _LONG, "header promises 30001x2, found (30000, 2)"),
+    (b"30000 2\n" + _LONG[:-25] + b"x\n", "line 30001: 'x' is not a number"),
+], ids=["comment", "tabs", "crlf", "crlf-body", "plus-sign", "short-form",
+        "trailing-blank-line", "no-final-newline", "no-double-has-it",
+        "upper-case-e", "two-spaces", "leading-space", "minus-nan",
+        "header-leading-zero", "crlf-last-chunk", "comment-last-chunk",
+        "extra-row", "ragged", "extra-row-last-chunk", "short-last-chunk",
+        "token-last-chunk"])
+def test_read_matrix_reads_other_text_with_loadtxt(tmp_path, monkeypatch,
+                                                   body, message):
+    path = tmp_path / "a.mat"
+    path.write_bytes(body)
+    loadtxt, calls = np.loadtxt, []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return loadtxt(*args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", spy)
+    if message is None:
+        want = loadtxt(path, skiprows=1, ndmin=2)
+        assert _same_bits(read_matrix(path), want)
+    else:
+        with pytest.raises(ValueError) as info:
+            read_matrix(path)
+        assert str(info.value) == f"{path}: {message}"
+    assert len(calls) == 1
+
+
 def test_instance_bundle_round_trip(tmp_path):
     inst = make_instance(10, 8, 2, 0.01, seed=5)
     save_instance(tmp_path / "inst", inst, seed=5, noise_mode="sphere")
@@ -832,3 +952,25 @@ def test_instance_bundle_round_trip(tmp_path):
     assert meta["seed"] == "5"
     assert meta["mode"] == "sphere"
     assert float(meta["mu"]) == pytest.approx(coherence(inst.true_basis))
+
+
+@pytest.mark.parametrize("meta, message", [
+    ("m=10\nn=8\nr=2\n", "missing key 'epsilon'"),
+    ("r=2\nepsilon=0.01\nr=2\n", "key 'r' appears twice"),
+    ("r=2\nepsilon=0.01\ngarbage\n", "line 'garbage' is not key=value"),
+    ("r=two\nepsilon=0.01\n", "r must be an integer; got 'two'"),
+    ("r=2\nepsilon=0.01\nmu=high\n", "mu must be a number; got 'high'"),
+], ids=["missing", "repeated", "not-key-value", "not-integer", "not-number"])
+def test_load_instance_checks_meta_before_parsing_either_matrix(
+        tmp_path, monkeypatch, meta, message):
+    save_instance(tmp_path, make_instance(10, 8, 2, 0.01, seed=5), seed=5,
+                  noise_mode="sphere")
+    (tmp_path / "meta").write_text(meta)
+
+    def refuse(path):
+        raise AssertionError(f"parsed {path}")
+
+    monkeypatch.setattr(synthetic, "read_matrix", refuse)
+    with pytest.raises(ValueError) as info:
+        load_instance(tmp_path)
+    assert str(info.value) == f"{tmp_path / 'meta'}: {message}"

@@ -20,6 +20,9 @@ Each line is a label and the first 16 hex digits of a SHA-256:
   the smallest subnormal, +-1e308, +-inf, nan, and powers of ten from
   1e-12 to 1e12 with their one-ulp neighbours, which include the edges of
   the writer's fast window) and of the 3000x300 sphere instance's ``M``.
+* ``read``: the bytes of ``read_matrix`` on every matrix file above (the
+  CLI's ``L.mat`` and ``M.mat`` and both ``file`` matrices), so a change
+  to the reader can be diffed the same way.
 
 The digests of ``L`` depend on the BLAS build, so compare two trees on
 one machine; the script is not a test.
@@ -36,7 +39,7 @@ from adaptive_mc import cli
 from adaptive_mc.linalg import OrthonormalBasis
 from adaptive_mc.sampling import RngState
 from adaptive_mc.synthetic import (add_bounded_noise, make_instance,
-                                   write_matrix)
+                                   read_matrix, write_matrix)
 from adaptive_mc.verify import CHECK_NAMES, run_check
 
 # (m, n, r, epsilon, seed, noise_mode, coherence_mode)
@@ -81,11 +84,13 @@ def edge_matrix():
     return np.concatenate([special, near, -near]).reshape(-1, 3)
 
 
-def file_digest(tmp, a):
-    path = os.path.join(tmp, "a.mat")
-    write_matrix(path, a)
+def file_digest(path):
     with open(path, "rb") as fh:
         return digest(fh.read())
+
+
+def read_digest(path):
+    return digest(read_matrix(path).tobytes())
 
 
 def report_bytes(rep):
@@ -125,15 +130,22 @@ def main():
             sys.stdout = stdout
         for sub in ("inst", "run", "sweep", "verify"):
             for name in sorted(os.listdir(os.path.join(tmp, sub))):
-                with open(os.path.join(tmp, sub, name), "rb") as fh:
-                    print(f"cli {sub}/{name}: {digest(fh.read())}")
+                print(f"cli {sub}/{name}: "
+                      f"{file_digest(os.path.join(tmp, sub, name))}")
+
+        for name in ("L.mat", "M.mat"):
+            print(f"read cli inst/{name}: "
+                  f"{read_digest(os.path.join(tmp, 'inst', name))}")
 
         edges = edge_matrix()
-        print(f"file edge matrix {edges.shape[0]}x{edges.shape[1]}: "
-              f"{file_digest(tmp, edges)}")
         inst = make_instance(3000, 300, 4, 0.05, 3)
-        print(f"file M 3000x300 r=4 eps=0.05 seed=3 sphere: "
-              f"{file_digest(tmp, inst.M)}")
+        path = os.path.join(tmp, "a.mat")
+        for label, a in (
+                (f"edge matrix {edges.shape[0]}x{edges.shape[1]}", edges),
+                ("M 3000x300 r=4 eps=0.05 seed=3 sphere", inst.M)):
+            write_matrix(path, a)
+            print(f"file {label}: {file_digest(path)}")
+            print(f"read {label}: {read_digest(path)}")
 
 
 if __name__ == "__main__":
