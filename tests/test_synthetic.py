@@ -877,6 +877,23 @@ def test_read_matrix_parses_the_writers_text_without_loadtxt(tmp_path,
     assert _same_bits(read_matrix(path), want)
 
 
+def test_read_matrix_makes_no_m_by_n_temporary(tmp_path):
+    # numpy reports its buffers to tracemalloc; the result's own mapping
+    # is not traced.  The reader parses a chunk of about 128 kB at a time,
+    # and its temporaries come to about 2 MB; np.loadtxt, or parsing the
+    # whole file at once, would need an m x n buffer or more.
+    m, n = 2000, 600
+    path = tmp_path / "a.mat"
+    write_matrix(path, np.random.default_rng(30).standard_normal((m, n)))
+    tracemalloc.start()
+    try:
+        read_matrix(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.3 * 8 * m * n, peak / (8 * m * n)
+
+
 def _own_rows(*rows):
     return b"".join(b" ".join(b"%.17e" % v for v in row) + b"\n"
                     for row in rows)
