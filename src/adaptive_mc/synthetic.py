@@ -646,8 +646,8 @@ def _fast_tokens(text, ends):
           & (head >> 8 & 0xFF == 46) & (tail >> 24 & 0xFF == 101)
           & ((sign == 43) | (sign == 45)) & (tail >> 40 & 0xFF == 48))
     D = lead * 10 ** 17 + second * 10 ** 16 + hi * 10 ** 8 + lo
-    E = np.where(sign == 45, -digit.astype(np.int64), digit.astype(np.int64))
-    return D, E, ok
+    E = digit.astype(np.int64)
+    return D, np.where(sign == 45, -E, E), ok
 
 
 def _from_decimal(D, E):
