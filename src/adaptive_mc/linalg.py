@@ -36,6 +36,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .sampling import _check_index_set
+
 __all__ = [
     "ORTHO_TOL",
     "DEFAULT_RANK_TOL",
@@ -123,28 +125,6 @@ class OrthonormalBasis:
 
     def __repr__(self):
         return f"OrthonormalBasis(ambient_dim={self.ambient_dim}, dim={self.dim})"
-
-
-def _check_index_set(omega, ambient, range_error=ValueError):
-    """Validate a strictly increasing index set into [0, ambient).
-
-    The entries must already be integers: a float or bool array is
-    rejected with ``ValueError``, never rounded or cast.  An entry outside
-    [0, ambient) raises ``range_error``; every other defect raises
-    ``ValueError``.  Returns the set as an ``intp`` array.
-    """
-    omega = np.asarray(omega)
-    if omega.ndim != 1 or omega.size == 0:
-        raise ValueError("index set must be a nonempty 1-D array")
-    if omega.dtype.kind not in "iu":
-        raise ValueError(
-            f"index set must have an integer dtype; got {omega.dtype}")
-    omega = omega.astype(np.intp, copy=False)
-    if omega[0] < 0 or omega[-1] >= ambient:
-        raise range_error(f"index set entries must lie in [0, {ambient})")
-    if (omega[1:] <= omega[:-1]).any():
-        raise ValueError("index set must be strictly increasing")
-    return omega
 
 
 def _as_vector(y, expected_len, name="vector"):
@@ -239,20 +219,19 @@ class RestrictedSolver:
     Between two subspace updates every column is fitted against the same
     ``B_omega``, the rows of the basis matrix indexed by ``omega``.  The
     restricted matrix is generally not orthonormal, so each fit is a
-    genuine least-squares problem.  The solver validates ``omega`` and
-    factors ``B_omega`` once, through an SVD whose singular values at or
-    below ``LSTSQ_RCOND`` times the largest are truncated: the rank rule
-    and the minimum-norm solution of ``np.linalg.lstsq`` with that
-    ``rcond``.  Every later fit is two matrix-vector products.
-    ``B_omega`` is kept column-major, the layout in which the residual's
-    product ``B_omega coef`` is fastest.
+    genuine least-squares problem.  The solver factors ``B_omega`` once,
+    through an SVD whose singular values at or below ``LSTSQ_RCOND`` times
+    the largest are truncated: the rank rule and the minimum-norm solution
+    of ``np.linalg.lstsq`` with that ``rcond``.  Every later fit is two
+    matrix-vector products.  ``B_omega`` is kept column-major, the layout
+    in which the residual's product ``B_omega coef`` is fastest.
 
     Attributes
     ----------
     omega : ndarray of intp
-        The validated, strictly increasing row index set: a private,
-        read-only array that owns its data, so an ``ObservationOracle``
-        can trust it without validating it again.
+        The row pattern (see ``sampling``): strictly increasing and
+        read-only for good.  A pattern passed in is kept by reference; any
+        other index set is validated into a new one.
     degenerate : bool
         True when ``B_omega`` is rank-deficient below the basis
         dimension, i.e. the sampled rows do not pin down the fit.
@@ -261,11 +240,7 @@ class RestrictedSolver:
     __slots__ = ("omega", "degenerate", "_restricted", "_pinv")
 
     def __init__(self, basis, omega):
-        checked = _check_index_set(omega, basis.ambient_dim)
-        if checked is omega or not checked.flags.owndata:
-            checked = checked.copy()
-        checked.flags.writeable = False
-        self.omega = checked
+        self.omega = _check_index_set(omega, basis.ambient_dim)
         a = basis.matrix[self.omega, :]
         if basis.dim == 0:
             rank = 0

@@ -397,9 +397,9 @@ def run_lrebn(oracle, cfg):
         ``(m, n)``.
     ``entries(omega, j)``
         The entries of column ``j`` at rows ``omega``, in that order.
-        The run passes its solver's pattern: a strictly increasing
-        ``intp`` array, read-only and owning its data, and the same
-        object for every column until the next redraw.
+        The run passes the row pattern ``sample_uniform_subset`` drew
+        (see ``sampling``): a strictly increasing, read-only ``intp``
+        array, the same object for every column until the next redraw.
     ``column(j)``
         The full column ``j``, as an array the run keeps.
     ``entry_count``

@@ -1,5 +1,6 @@
 """
-Seeded, reproducible random streams and uniform index-set sampling.
+Seeded, reproducible random streams, uniform index-set sampling and the
+row patterns the samples are read on.
 
 Every random draw in the package flows through a generator built here.
 Generators are Philox4x64 counter-based bit generators keyed through
@@ -7,6 +8,13 @@ Generators are Philox4x64 counter-based bit generators keyed through
 (seed, stream) pair yields the identical sequence on every run and
 platform.  Parallel consumers never share a generator; each derives its
 own substream from the root seed.
+
+A row pattern is a validated index set: a strictly increasing, read-only
+``intp`` array over immutable memory, so no one can make it writable
+again.  ``_check_index_set`` is the one place that validates index sets
+and makes patterns; ``sample_uniform_subset`` returns its draws through
+it, and the restricted solver and the oracle pass a pattern on with one
+comparison of its last entry against their dimension.
 """
 
 from __future__ import annotations
@@ -64,6 +72,45 @@ def as_generator(rng):
     raise TypeError(f"cannot build a generator from {type(rng).__name__}")
 
 
+class _Rows(bytes):
+    """The memory of a row pattern; its type marks the array over it as
+    validated."""
+
+    __slots__ = ()
+
+
+def _check_index_set(omega, ambient, range_error=ValueError):
+    """Validate a strictly increasing index set into [0, ambient) and
+    return it as a row pattern.
+
+    The entries must already be integers: a float or bool array is
+    rejected with ``ValueError``, never rounded or cast.  An entry outside
+    [0, ambient) raises ``range_error``; every other defect raises
+    ``ValueError``.  A pattern is returned as it is once its last entry is
+    below ``ambient``; anything else, a view of a pattern included, is
+    copied into a new pattern and validated there.
+    """
+    # A view's base is the array it was taken from, so only the array
+    # made over the bytes below has them as its base.
+    if type(getattr(omega, "base", None)) is _Rows:
+        if omega[-1] >= ambient:
+            raise range_error(f"index set entries must lie in [0, {ambient})")
+        return omega
+    omega = np.asarray(omega)
+    if omega.ndim != 1 or omega.size == 0:
+        raise ValueError("index set must be a nonempty 1-D array")
+    if omega.dtype.kind not in "iu":
+        raise ValueError(
+            f"index set must have an integer dtype; got {omega.dtype}")
+    rows = np.frombuffer(_Rows(memoryview(omega.astype(np.intp, copy=False))),
+                         dtype=np.intp)
+    if rows[0] < 0 or rows[-1] >= ambient:
+        raise range_error(f"index set entries must lie in [0, {ambient})")
+    if (rows[1:] <= rows[:-1]).any():
+        raise ValueError("index set must be strictly increasing")
+    return rows
+
+
 def sample_uniform_subset(m, d, rng):
     """Uniformly random d-subset of {0, ..., m-1}, sorted ascending.
 
@@ -77,15 +124,21 @@ def sample_uniform_subset(m, d, rng):
         Size of the ground set; must be >= 1.
     d : int
         Subset size; requires 1 <= d <= m.  Callers clamp their budgets
-        before reaching this layer.
+        before reaching this layer.  A float or bool ``m`` or ``d``
+        raises ``ValueError``, never truncated; numpy integers are taken.
     rng : RngState or numpy Generator
         Drawn from as ``as_generator`` says: an RngState from the start of
         its stream, a Generator from its current state.
 
     Returns
     -------
-    ndarray of int64, shape (d,)
+    ndarray of intp, shape (d,)
+        A row pattern: read-only for good, and passed on by the restricted
+        solver and the oracle without a second validation.
     """
+    for name, size in (("m", m), ("d", d)):
+        if isinstance(size, bool) or not isinstance(size, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer; got {size!r}")
     m = int(m)
     d = int(d)
     if m < 1:
@@ -95,5 +148,4 @@ def sample_uniform_subset(m, d, rng):
     if d > m:
         raise ValueError(f"subset size d={d} exceeds ground-set size m={m}")
     gen = as_generator(rng)
-    picked = gen.permutation(m)[:d]
-    return np.sort(picked).astype(np.int64)
+    return _check_index_set(np.sort(gen.permutation(m)[:d]), m)

@@ -23,14 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (
-    OrthonormalBasis,
-    _block_rows,
-    _check_index_set,
-    coherence,
-    orthonormalize,
-)
-from .sampling import RngState, as_generator
+from .linalg import OrthonormalBasis, _block_rows, coherence, orthonormalize
+from .sampling import RngState, _check_index_set, as_generator
 
 __all__ = [
     "MAX_EPSILON",
@@ -94,25 +88,17 @@ class ObservationOracle:
     Observations are purchases: re-reading an already revealed entry does
     not increase the count, and revealing a full column after a partial
     read only adds the remainder.  The oracle keeps no counter.  Its one
-    fact is a read record per column: the tuple of row-index arrays read
-    so far, or ``None`` once the column was read in full (by ``column`` or
-    by a read of all m rows).  ``entry_count`` sums the records: m for a
+    fact is a read record per column: the tuple of row patterns read so
+    far, or ``None`` once the column was read in full (by ``column`` or by
+    a read of all m rows).  ``entry_count`` sums the records: m for a
     full column, the size of a single read, the size of the union of
     several.  The lock serializes the records' writes and that sum.
 
-    A record holds no copy of an index array that cannot change: an
-    ``omega`` that is read-only and owns its data is kept by reference,
-    as is the fresh array the validation makes from a list or another
-    integer dtype; any other ``omega`` is copied.  A run with the
-    on-update redraw therefore adds only references, while per-column
-    redraw keeps 8 bytes per entry read through a distinct ``omega``.
-
-    Every ``omega`` is validated before anything is charged, with one
-    exception: the last validated ``omega`` that is read-only and owns its
-    data, passed again as the same object, is not validated again.  Such
-    an array can change only if someone deliberately re-enables writes on
-    it.  ``run_lrebn`` passes the read-only pattern its
-    ``RestrictedSolver`` validated, so a run validates each pattern once.
+    Every read's rows become a row pattern (see ``sampling``) before
+    anything is charged, and its record keeps that pattern by reference:
+    a pattern cannot change.  A pattern passed in, as ``run_lrebn`` passes
+    the one it drew, costs one comparison and no copy; any other index
+    set is validated into a new pattern.
 
     Every read is confined to one column, so the hidden matrix is stored
     column-major: each read gathers from contiguous memory.
@@ -139,7 +125,6 @@ class ObservationOracle:
         store.flags.writeable = False
         self._hidden = store
         self._reads = [()] * hidden.shape[1]   # per column; None = full
-        self._checked = None     # last validated read-only omega
         self._lock = threading.Lock()
 
     @property
@@ -161,21 +146,23 @@ class ObservationOracle:
         if not 0 <= j < self._hidden.shape[1]:
             raise IndexError(f"column index {j} out of range")
 
-    def _record(self, rows, j):
-        """Add the immutable row set ``rows`` to column ``j``'s record."""
-        full = rows.size == self._hidden.shape[0]
+    def _read(self, omega, j):
+        """Charge and return column ``j`` at rows ``omega``: the one read
+        path of ``entry`` and ``entries``, which subclasses may override,
+        so neither calls the other."""
+        self._check_col(j)
+        m = self._hidden.shape[0]
+        rows = _check_index_set(omega, m, IndexError)
         with self._lock:
             held = self._reads[j]
             if held is not None:
-                self._reads[j] = None if full else held + (rows,)
+                self._reads[j] = None if rows.size == m else held + (rows,)
+        return self._hidden[:, j][rows]
 
     def entry(self, i, j):
-        """Reveal and return the entry at (i, j)."""
-        if not 0 <= i < self._hidden.shape[0]:
-            raise IndexError(f"row index {i} out of range")
-        self._check_col(j)
-        self._record(np.array([i], dtype=np.intp), j)
-        return float(self._hidden[i, j])
+        """Reveal and return the entry at (i, j), under the rules of
+        ``entries``."""
+        return float(self._read([i], j)[0])
 
     def entries(self, omega, j):
         """Reveal and return the entries of column ``j`` at rows ``omega``.
@@ -185,17 +172,7 @@ class ObservationOracle:
         other defect, a float or bool ``omega`` included, ``ValueError``.
         Nothing is charged for a rejected read.
         """
-        self._check_col(j)
-        m = self._hidden.shape[0]
-        rows = omega
-        if rows is None or rows is not self._checked:
-            rows = _check_index_set(omega, m, IndexError)
-            if rows.flags.owndata and not rows.flags.writeable:
-                self._checked = rows     # nothing can change it unseen
-            elif rows.size < m and (rows is omega or not rows.flags.owndata):
-                rows = rows.copy()
-        self._record(rows, j)
-        return self._hidden[:, j][rows]
+        return self._read(omega, j)
 
     def column(self, j):
         """Reveal and return the full column ``j``."""

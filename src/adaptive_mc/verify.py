@@ -13,10 +13,9 @@ check states its per-trial draw as ``draw(gen, t)``, a tuple of arrays
 from trial t's own generator; ``_draws`` stacks a chunk of trials, so the
 chunk size bounds memory and changes no draw.  The linear algebra runs
 once per stack (QR frames, batched SVDs and eigenvalues), and a
-``_Tally`` folds the margins into the report.  ``ks14`` alone builds its
-generators itself: it draws each applicable trial's row sample after the
-batched algebra.  Coherences, projections and angles come from
-``linalg``, the rules the completion run itself uses.
+``_Tally`` folds the margins into the report.  Coherences, projections
+and angles come from ``linalg``, the rules the completion run itself
+uses.
 """
 
 from __future__ import annotations
@@ -528,12 +527,14 @@ def check_ks14(m, k, d, delta, trials, rng):
     lower_applicable = 0
     lower_violations = 0
     d_lo, d_hi = math.inf, 0
+
+    def draw(gen, t):
+        return (gen.standard_normal((m, k)), gen.standard_normal(m),
+                gen.permutation(m))
+
     for chunk in _chunks(0, trials, m * k):
-        # Not ``_draws``: Omega is drawn only for applicable trials, from
-        # their generators, after the batched algebra that decides it.
-        gens = [state.substream(t).generator() for t in chunk]
-        basis = _full_frames(np.array([g.standard_normal((m, k)) for g in gens]))
-        y = np.array([g.standard_normal(m) for g in gens])
+        raw, y, perm = _draws(state, chunk, draw)
+        basis = _full_frames(raw)
         resid_full = y - project(basis, y)
         r2_full = np.einsum("ti,ti->t", resid_full, resid_full)
         mu_sub = coherence(basis)
@@ -560,9 +561,11 @@ def check_ks14(m, k, d, delta, trials, rng):
         zeta = np.sqrt((8.0 * k * mu_sub / (3.0 * d_t)) * ln_2k)
         use = (alpha < 0.5) & (d_t >= d_pre)
 
+        # Omega is the head of the trial's permutation, the rows
+        # ``sample_uniform_subset`` would draw: d_t is known only now.
         mask = np.zeros((len(chunk), m), dtype=bool)
         for i in np.flatnonzero(use):
-            mask[i, sample_uniform_subset(m, d_t[i], gens[i])] = True
+            mask[i, perm[i, :d_t[i]]] = True
         r2_restricted = _restricted_residuals(
             basis[use], y[use], mask[use]) ** 2
         d_t, alpha, zeta, mu_sub, r2_full = (

@@ -183,21 +183,25 @@ def test_restricted_lstsq_full_rows_not_degenerate():
 
 @pytest.mark.parametrize("kind", ["intp", "masked", "int32", "list"])
 def test_solver_keeps_a_private_read_only_pattern(kind):
-    # The solver's pattern is read-only and owns its data, so an oracle
-    # may trust it; the caller's array is neither frozen nor shared.  A
-    # masked array converts to a view of the caller's data.
+    # The solver's pattern is read-only for good, so an oracle may keep
+    # it; the caller's array is neither frozen nor shared, and a pattern
+    # passed in is kept as it is.  A masked array converts to a view of
+    # the caller's data.
     rows = np.array([0, 2, 3, 5], dtype=np.intp)
     given_omega = {"intp": rows, "masked": np.ma.masked_array(rows.copy()),
                    "int32": rows.astype(np.int32),
                    "list": rows.tolist()}[kind]
-    solver = RestrictedSolver(orthonormalize([np.ones(6)]), given_omega)
+    basis = orthonormalize([np.ones(6)])
+    solver = RestrictedSolver(basis, given_omega)
     assert not solver.omega.flags.writeable
-    assert solver.omega.flags.owndata
+    with pytest.raises(ValueError):
+        solver.omega.flags.writeable = True
     np.testing.assert_array_equal(solver.omega, rows)
     if kind != "list":
         assert given_omega.flags.writeable
         given_omega[0] = 1
         assert solver.omega[0] == 0
+    assert RestrictedSolver(basis, solver.omega).omega is solver.omega
 
 
 @pytest.mark.parametrize("case", ["full-rank", "fewer-rows", "equal-rows"])

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from adaptive_mc import lrebn, synthetic
+from adaptive_mc import lrebn, sampling
 from adaptive_mc.linalg import LSTSQ_RCOND, RestrictedSolver, coherence
 from adaptive_mc.lrebn import (
     RESIDUAL_FLOOR,
@@ -340,27 +340,34 @@ def test_run_builds_one_solver_per_budget_event(monkeypatch):
     assert built == [event.k for event in result.budget_trace]
 
 
-def test_on_update_run_validates_each_pattern_once_in_the_oracle(
-        monkeypatch):
-    # The run reads through the solver's read-only pattern, which the
-    # oracle checks on its first read and then trusts: one check per
-    # budget event, not one per column.
-    check = synthetic._check_index_set
-    checked = []
+@pytest.mark.parametrize("policy", ["on-update", "per-column"])
+def test_run_validates_each_pattern_once(monkeypatch, policy):
+    # Every full validation in the package makes one pattern over new
+    # memory, so counting those counts the validations: one per pattern
+    # drawn, which the solver and the oracle then pass on.
+    made = []
 
-    def counting(omega, ambient, range_error=ValueError):
-        checked.append(len(omega))
-        return check(omega, ambient, range_error)
+    class CountingRows(sampling._Rows):
+        __slots__ = ()
 
-    monkeypatch.setattr(synthetic, "_check_index_set", counting)
+        def __new__(cls, data):
+            rows = super().__new__(cls, data)
+            made.append(len(rows) // np.dtype(np.intp).itemsize)
+            return rows
+
+    monkeypatch.setattr(sampling, "_Rows", CountingRows)
     m, n = 2000, 60
     inst = make_instance(m, n, 2, 0.01, seed=4)
-    cfg = cfg_for(epsilon=0.01, delta=0.09, r=2, mu=1.0, seed=4)
+    cfg = cfg_for(epsilon=0.01, delta=0.09, r=2, mu=1.0, seed=4,
+                  omega_redraw=policy)
     result = run_lrebn(ObservationOracle(inst.M), cfg)
-    # The last pattern is read too, so every event's pattern is checked.
+    # The last pattern is read too, so every event's pattern is used.
     assert result.column_mode[-1] == "Reconstructed"
-    assert 1 < len(result.budget_trace) < n
-    assert checked == [ev.d_drawn for ev in result.budget_trace]
+    assert len(result.budget_trace) == 3
+    drawn = [ev.d_drawn for ev in result.budget_trace]
+    if policy == "per-column":
+        drawn += [min(rec.d, m) for rec in result.column_records]
+    assert sorted(made) == sorted(drawn)
 
 
 class MaskOracle(ObservationOracle):

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from adaptive_mc.sampling import RngState, as_generator, sample_uniform_subset
+from adaptive_mc.sampling import (RngState, _check_index_set, as_generator,
+                                  sample_uniform_subset)
 
 
 def test_forced_full_subset():
@@ -37,6 +38,41 @@ def test_invalid_sizes_rejected():
         sample_uniform_subset(10, 11, RngState(0))
     with pytest.raises(ValueError):
         sample_uniform_subset(0, 1, RngState(0))
+    # A float or bool size is refused, never truncated to 2, 1 or 10 rows.
+    for m, d in [(10, 2.7), (10, True), (10.9, 3), (np.float64(10), 3),
+                 (10, np.bool_(True))]:
+        with pytest.raises(ValueError, match="must be an integer"):
+            sample_uniform_subset(m, d, RngState(0))
+    got = sample_uniform_subset(np.int32(10), np.int64(3), RngState(0))
+    np.testing.assert_array_equal(got,
+                                  sample_uniform_subset(10, 3, RngState(0)))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7])
+@pytest.mark.parametrize("m, d", [(1, 1), (50, 7), (300, 300)])
+def test_subset_is_the_sorted_head_of_a_permutation(seed, m, d):
+    # The lemma suite draws its row masks from this rule.
+    got = sample_uniform_subset(m, d, RngState(seed))
+    want = np.sort(RngState(seed).generator().permutation(m)[:d])
+    np.testing.assert_array_equal(got, want)
+
+
+def test_subset_is_a_read_only_pattern():
+    got = sample_uniform_subset(100, 10, RngState(3))
+    assert got.dtype == np.intp and not got.flags.writeable
+    with pytest.raises(ValueError):
+        got.flags.writeable = True
+    assert _check_index_set(got, 100) is got
+
+
+def test_views_and_copies_of_a_pattern_are_validated_again():
+    pattern = _check_index_set([1, 4, 6, 9], 10)
+    for view in (pattern[1:], pattern.astype(np.intp), pattern[:]):
+        checked = _check_index_set(view, 10)
+        assert checked is not view and checked is not pattern
+        np.testing.assert_array_equal(checked, view)
+    with pytest.raises(ValueError, match="strictly increasing"):
+        _check_index_set(pattern[::-1], 10)
 
 
 def test_as_generator_accepts_state_and_generator():

@@ -16,7 +16,7 @@ from adaptive_mc.linalg import (
     subspace_subspace_angle,
 )
 from adaptive_mc import synthetic
-from adaptive_mc.sampling import RngState, as_generator
+from adaptive_mc.sampling import RngState, as_generator, sample_uniform_subset
 from adaptive_mc.synthetic import (
     ObservationOracle,
     ProblemInstance,
@@ -473,20 +473,35 @@ def test_oracle_rejects_bad_indices():
 @pytest.mark.parametrize("omega", [[0.5, 2.7], np.array([1.0, 2.0]),
                                    [True, False]],
                          ids=["fractional", "float-array", "bool"])
-@pytest.mark.parametrize("entry_point", ["oracle.entries", "RestrictedSolver"])
+@pytest.mark.parametrize("entry_point", ["oracle.entries", "RestrictedSolver",
+                                         "oracle.entry"])
 def test_non_integer_index_sets_rejected_before_any_read(entry_point, omega):
     # Casting would read rows [0, 2], [1, 2] or [1, 0] instead: a
-    # fractional or boolean row set is refused, never truncated.
+    # fractional or boolean row set is refused, never truncated.  A
+    # single entry's row follows the same rule.
     oracle = ObservationOracle(np.arange(12.0).reshape(4, 3))
     with pytest.raises(ValueError, match="integer dtype"):
         if entry_point == "oracle.entries":
             oracle.entries(omega, 0)
+        elif entry_point == "oracle.entry":
+            oracle.entry(omega[0], 0)
         else:
             RestrictedSolver(orthonormalize([np.ones(4)]), omega)
     assert oracle.entry_count == 0
     # The rejected read left no record: a valid read counts its rows only.
     oracle.entries(np.array([1, 3]), 0)
     assert oracle.entry_count == 2
+
+
+def test_oracle_range_checks_a_pattern_drawn_for_a_taller_matrix():
+    # A pattern skips revalidation, but not the check of its last row
+    # against this oracle's height.
+    pattern = sample_uniform_subset(2000, 500, RngState(0))
+    assert pattern[-1] >= 1000
+    oracle = ObservationOracle(np.zeros((1000, 2)))
+    with pytest.raises(IndexError):
+        oracle.entries(pattern, 0)
+    assert oracle.entry_count == 0
 
 
 def test_oracle_concurrent_reads_lose_no_counts():
@@ -549,8 +564,8 @@ def test_oracle_record_ignores_later_writes_to_omega(kind):
 
 @pytest.mark.parametrize("kind", ["writable", "read-only-view"])
 def test_oracle_revalidates_omega_it_cannot_trust(kind):
-    # Only a read-only omega that owns its data skips the second check: a
-    # writable one, or a read-only view of a writable buffer, can change.
+    # Only a row pattern skips the full check: a writable omega, or a
+    # read-only view of a writable buffer, can change.
     oracle = ObservationOracle(np.zeros((6, 3)))
     base = np.array([1, 2, 4])
     omega = base

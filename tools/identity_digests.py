@@ -23,6 +23,11 @@ Each line is a label and the first 16 hex digits of a SHA-256:
 * ``read``: the bytes of ``read_matrix`` on every matrix file above (the
   CLI's ``L.mat`` and ``M.mat`` and both ``file`` matrices), so a change
   to the reader can be diffed the same way.
+* ``run``: one ``run_lrebn`` call per row-pattern redraw mode on a
+  2000x60 instance where every budget stays below m, so the run reads
+  sub-sampled columns (the CLI's 40x30 run clamps every budget to m):
+  the repr of its ``column_records`` and ``budget_trace``, the bytes of
+  its ``coefs`` and its ``observations``.
 
 The digests of ``L`` depend on the BLAS build, so compare two trees on
 one machine; the script is not a test.
@@ -37,9 +42,10 @@ import numpy as np
 
 from adaptive_mc import cli
 from adaptive_mc.linalg import OrthonormalBasis
+from adaptive_mc.lrebn import LrebnConfig, run_lrebn
 from adaptive_mc.sampling import RngState
-from adaptive_mc.synthetic import (add_bounded_noise, make_instance,
-                                   read_matrix, write_matrix)
+from adaptive_mc.synthetic import (ObservationOracle, add_bounded_noise,
+                                   make_instance, read_matrix, write_matrix)
 from adaptive_mc.verify import CHECK_NAMES, run_check
 
 # (m, n, r, epsilon, seed, noise_mode, coherence_mode)
@@ -100,6 +106,11 @@ def report_bytes(rep):
                  rep.verdict)).encode()
 
 
+def run_bytes(result):
+    return (repr((result.column_records, result.budget_trace)).encode()
+            + result.coefs.tobytes() + repr(result.observations).encode())
+
+
 def main():
     for m, n, r, eps, seed, noise, coh in INSTANCES:
         inst = make_instance(m, n, r, eps, seed, coherence_mode=coh,
@@ -116,6 +127,16 @@ def main():
         print(f"report seed={seed}: " + ", ".join(
             f"{name} {digest(report_bytes(run_check(name, seed=seed)))}"
             for name in CHECK_NAMES))
+
+    inst = make_instance(2000, 60, 2, 0.01, 4)
+    for redraw in ("on-update", "per-column"):
+        cfg = LrebnConfig(epsilon=0.01, delta=0.09, r=2, mu_upper=1.0,
+                          seed=4, omega_redraw=redraw)
+        result = run_lrebn(ObservationOracle(inst.M), cfg)
+        if max(ev.d_drawn for ev in result.budget_trace) >= 2000:
+            raise SystemExit(f"{redraw} run clamped a budget to m")
+        print(f"run 2000x60 r=2 eps=0.01 delta=0.09 seed=4 {redraw}: "
+              f"{digest(run_bytes(result))}")
 
     with tempfile.TemporaryDirectory() as tmp:
         stdout = sys.stdout
