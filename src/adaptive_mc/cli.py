@@ -30,7 +30,7 @@ from .lrebn import (
     recovery_errors,
     run_lrebn,
 )
-from .sampling import RngState
+from .sampling import RngState, _check_int
 from .synthetic import (
     ObservationOracle,
     _check_rank,
@@ -45,15 +45,8 @@ _STREAM_SWEEP_INSTANCE = 100
 _STREAM_SWEEP_RUN = 101
 
 
-def _positive_int(text):
-    v = int(text)
-    if v < 1:
-        raise argparse.ArgumentTypeError("value must be a positive integer")
-    return v
-
-
 def _int_list(text):
-    return _nonempty([_positive_int(s) for s in text.split(",") if s != ""])
+    return _nonempty([int(s) for s in text.split(",") if s != ""])
 
 
 def _float_list(text):
@@ -113,7 +106,7 @@ def cmd_generate(args):
     return 0
 
 
-def _build_config(args, epsilon, r, meta=None):
+def _build_config(args, epsilon, r, meta):
     if args.mu_upper is not None:
         # A user-supplied bound goes to LrebnConfig unchanged, which
         # rejects anything that is not a finite number >= 1.
@@ -122,7 +115,7 @@ def _build_config(args, epsilon, r, meta=None):
         # Estimation mode must not peek at the instance's true coherence;
         # the first budget (nothing estimated yet) uses the floor value.
         mu = 1.0
-    elif meta is not None and "mu" in meta:
+    elif "mu" in meta:
         # The stored coherence is >= 1 only up to rounding (1e-9); any
         # other value goes to LrebnConfig unchanged, which rejects it.
         mu = float(meta["mu"])
@@ -210,6 +203,7 @@ def cmd_sweep(args):
         for delta in args.delta
     ]
     # Reject out-of-model parameters before the first cell runs.
+    _check_int("trials", args.trials)
     for m, n, r, epsilon, delta in cells:
         _check_rank(r, m, n)
         LrebnConfig(epsilon=epsilon, delta=delta, r=r)
@@ -302,9 +296,9 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("generate", help="write a synthetic instance bundle")
-    g.add_argument("--m", type=_positive_int, required=True)
-    g.add_argument("--n", type=_positive_int, required=True)
-    g.add_argument("--r", type=_positive_int, required=True)
+    g.add_argument("--m", type=int, required=True)
+    g.add_argument("--n", type=int, required=True)
+    g.add_argument("--r", type=int, required=True)
     g.add_argument("--epsilon", type=float, required=True)
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--out", required=True)
@@ -331,7 +325,7 @@ def build_parser():
     s.add_argument("--r", type=_int_list, required=True)
     s.add_argument("--epsilon", type=_float_list, required=True)
     s.add_argument("--delta", type=_float_list, default=[0.05])
-    s.add_argument("--trials", type=_positive_int, default=1)
+    s.add_argument("--trials", type=int, default=1)
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--out", required=True)
     s.add_argument("--noise-mode", dest="noise_mode",
@@ -342,7 +336,7 @@ def build_parser():
     v = sub.add_parser("verify", help="run the inequality checks")
     v.add_argument("--names", default="all",
                    help="comma-separated check names, or 'all'")
-    v.add_argument("--trials", type=_positive_int, default=None)
+    v.add_argument("--trials", type=int, default=None)
     v.add_argument("--seed", type=int, default=0)
     v.add_argument("--out", default=None)
     v.set_defaults(func=cmd_verify)

@@ -58,7 +58,7 @@ from .linalg import (
     extend_basis,
     vector_subspace_angle,
 )
-from .sampling import RngState, sample_uniform_subset
+from .sampling import RngState, _check_int, sample_uniform_subset
 from .synthetic import _check_epsilon
 
 __all__ = [
@@ -103,7 +103,8 @@ class LrebnConfig:
         Failure parameter; 0 < delta < 0.1 (and delta <= r**(-1/8) for
         r >= 2, which only binds at astronomically large ranks).
     r : int
-        Target rank.
+        Target rank; an ``int`` or numpy integer, at least 1.  A bool or
+        a float raises ``ValueError`` (the rule of ``sampling._check_int``).
     mu_upper : float
         Upper bound on the coherence of the true column space, supplied
         by the caller; finite and >= 1.
@@ -122,7 +123,9 @@ class LrebnConfig:
         Default redraws the row pattern only after a subspace update;
         "per-column" is an ablation that redraws for every column.
     seed : int
-        Seed for the row-pattern stream.
+        Seed for the row-pattern stream; a non-negative ``int`` or numpy
+        integer.  A bool, a float or a negative seed raises ``ValueError``
+        when the config is built.
     """
 
     epsilon: float
@@ -141,8 +144,7 @@ class LrebnConfig:
             raise ValueError(
                 f"delta must satisfy 0 < delta < {MAX_DELTA}; got {self.delta}"
             )
-        if not (isinstance(self.r, (int, np.integer)) and self.r >= 1):
-            raise ValueError("r must be a positive integer")
+        _check_int("r", self.r)
         if self.r >= 2 and self.delta > self.r ** (-0.125):
             raise ValueError(
                 f"delta must be <= r**(-1/8) = {self.r ** (-0.125):.6g} "
@@ -152,6 +154,7 @@ class LrebnConfig:
             raise ValueError(
                 f"mu_upper must be a finite number >= 1; got {self.mu_upper}"
             )
+        _check_int("seed", self.seed, 0)
         if self.omega_redraw not in (REDRAW_ON_UPDATE, REDRAW_PER_COLUMN):
             raise ValueError(
                 f"omega_redraw must be '{REDRAW_ON_UPDATE}' or "
@@ -277,10 +280,11 @@ def _budgets(cfg, mu, m, theta_tilde):
     """``(d_formula, d_budget)`` from one evaluation of the formula at
     coherence bound ``mu``: the ceiled value (at least 1) and the budget
     in force after the optional clamp to m."""
+    m = _check_int("m", m)
     if not 0.0 <= theta_tilde <= math.pi / 2 + 1e-12:
         raise ValueError("theta_tilde must lie in [0, pi/2]")
     d_formula = _budget_formula(mu, cfg.r, cfg.delta, m, theta_tilde)
-    return d_formula, (min(d_formula, int(m)) if cfg.budget_cap_to_m else d_formula)
+    return d_formula, (min(d_formula, m) if cfg.budget_cap_to_m else d_formula)
 
 
 def initial_budget(cfg, m):

@@ -9,6 +9,11 @@ Generators are Philox4x64 counter-based bit generators keyed through
 platform.  Parallel consumers never share a generator; each derives its
 own substream from the root seed.
 
+``_check_int`` is the package's one rule for an integer a caller passes
+in (a size, a count, an index, a seed or a stream label): an ``int`` or
+a numpy integer at or above its bound.  A bool, a float or anything else
+raises ``ValueError`` naming the parameter; nothing is truncated.
+
 A row pattern is a validated index set: a strictly increasing, read-only
 ``intp`` array over immutable memory, so no one can make it writable
 again.  ``_check_index_set`` is the one place that validates index sets
@@ -19,6 +24,8 @@ comparison of its last entry against their dimension.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 __all__ = ["RngState", "as_generator", "sample_uniform_subset"]
@@ -27,17 +34,19 @@ __all__ = ["RngState", "as_generator", "sample_uniform_subset"]
 class RngState:
     """Handle for a deterministic random stream.
 
-    A stream is identified by a 64-bit ``seed`` plus a tuple of
-    non-negative ``stream`` integers (consumer labels, trial indices, and
-    so on).  ``generator()`` returns a fresh generator positioned at the
-    start of the stream, so repeated calls replay the same sequence.
+    A stream is identified by a non-negative integer ``seed`` plus a
+    tuple of non-negative ``stream`` integers (consumer labels, trial
+    indices, and so on), each held to ``_check_int``: a bool, a float or
+    a negative value raises ``ValueError``.  ``generator()`` returns a
+    fresh generator positioned at the start of the stream, so repeated
+    calls replay the same sequence.
     """
 
     __slots__ = ("seed", "stream")
 
     def __init__(self, seed, *stream):
-        self.seed = int(seed)
-        self.stream = tuple(int(s) for s in stream)
+        self.seed = _check_int("seed", seed, 0)
+        self.stream = tuple(_check_int("stream label", s, 0) for s in stream)
 
     def _sequence(self):
         return np.random.SeedSequence(entropy=self.seed, spawn_key=self.stream)
@@ -77,6 +86,22 @@ class _Rows(bytes):
     validated."""
 
     __slots__ = ()
+
+
+def _check_int(name, value, low=1):
+    """``value`` as a Python int if it is an ``int`` or a numpy integer
+    of at least ``low`` (0 or 1); else ``ValueError`` naming ``name``.
+
+    A bool or a float is refused, never truncated, even where it holds a
+    whole number.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer; got {value!r}")
+    if value < low:
+        raise ValueError(f"{name} must be a "
+                         f"{'positive' if low else 'non-negative'} integer; "
+                         f"got {value}")
+    return operator.index(value)
 
 
 def _check_index_set(omega, ambient, range_error=ValueError):
@@ -124,8 +149,9 @@ def sample_uniform_subset(m, d, rng):
         Size of the ground set; must be >= 1.
     d : int
         Subset size; requires 1 <= d <= m.  Callers clamp their budgets
-        before reaching this layer.  A float or bool ``m`` or ``d``
-        raises ``ValueError``, never truncated; numpy integers are taken.
+        before reaching this layer.  Both sizes are held to
+        ``_check_int``: a float or bool ``m`` or ``d`` raises
+        ``ValueError``, never truncated; numpy integers are taken.
     rng : RngState or numpy Generator
         Drawn from as ``as_generator`` says: an RngState from the start of
         its stream, a Generator from its current state.
@@ -136,15 +162,8 @@ def sample_uniform_subset(m, d, rng):
         A row pattern: read-only for good, and passed on by the restricted
         solver and the oracle without a second validation.
     """
-    for name, size in (("m", m), ("d", d)):
-        if isinstance(size, bool) or not isinstance(size, (int, np.integer)):
-            raise ValueError(f"{name} must be an integer; got {size!r}")
-    m = int(m)
-    d = int(d)
-    if m < 1:
-        raise ValueError("m must be at least 1")
-    if d <= 0:
-        raise ValueError("subset size d must be positive")
+    m = _check_int("m", m)
+    d = _check_int("d", d)
     if d > m:
         raise ValueError(f"subset size d={d} exceeds ground-set size m={m}")
     gen = as_generator(rng)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import OrthonormalBasis, _block_rows, coherence, orthonormalize
-from .sampling import RngState, _check_index_set, as_generator
+from .sampling import RngState, _check_index_set, _check_int, as_generator
 
 __all__ = [
     "MAX_EPSILON",
@@ -143,7 +143,7 @@ class ObservationOracle:
                        for rows in self._reads)
 
     def _check_col(self, j):
-        if not 0 <= j < self._hidden.shape[1]:
+        if _check_int("column index j", j, 0) >= self._hidden.shape[1]:
             raise IndexError(f"column index {j} out of range")
 
     def _read(self, omega, j):
@@ -168,14 +168,21 @@ class ObservationOracle:
         """Reveal and return the entries of column ``j`` at rows ``omega``.
 
         ``omega`` must be a strictly increasing set of integer row indices
-        (no duplicates).  A row out of range raises ``IndexError``; any
-        other defect, a float or bool ``omega`` included, ``ValueError``.
-        Nothing is charged for a rejected read.
+        (no duplicates), and ``j`` an integer column index as ``column``
+        takes it.  A row or column past the end raises ``IndexError``; any
+        other defect, a float or bool ``omega`` or ``j`` included,
+        ``ValueError``.  Nothing is charged for a rejected read.
         """
         return self._read(omega, j)
 
     def column(self, j):
-        """Reveal and return the full column ``j``."""
+        """Reveal and return the full column ``j``.
+
+        ``j`` is held to ``sampling._check_int`` (an ``int`` or numpy
+        integer, at least 0): a bool, a float or a negative ``j`` raises
+        ``ValueError``, and ``j >= n`` raises ``IndexError``, before
+        anything is charged.
+        """
         self._check_col(j)
         with self._lock:
             self._reads[j] = None
@@ -195,24 +202,27 @@ def generate_low_rank(m, n, r, rng, coherence_mode="incoherent",
 
     Parameters
     ----------
+    m, n, r : int
+        Shape and rank, with ``1 <= r <= min(m, n)``.  Each is held to
+        ``sampling._check_int``: a float or bool raises ``ValueError``
+        before any draw, never truncated; numpy integers are taken.
     coherence_mode : {"incoherent", "spiked"}
         "incoherent" orthonormalizes a Gaussian block.  "spiked" blends
         the first basis direction toward the standard vector
         ``e_{spike_index}`` with the given weight, driving the coherence
-        toward its maximum m / r.  In spiked mode ``spike_index`` must lie
-        in ``[0, m)`` and ``spike_weight`` in ``[0, 1]``; anything else
-        raises ``ValueError`` before any draw.
+        toward its maximum m / r.  In spiked mode ``spike_index`` must be
+        an integer in ``[0, m)`` and ``spike_weight`` in ``[0, 1]``;
+        anything else raises ``ValueError`` before any draw.
 
     Returns
     -------
     (L, basis) : (ndarray (m, n), OrthonormalBasis)
     """
-    m, n, r = int(m), int(n), int(r)
     _check_rank(r, m, n)
     if coherence_mode not in ("incoherent", "spiked"):
         raise ValueError(f"unknown coherence_mode {coherence_mode!r}")
     if coherence_mode == "spiked":
-        if not 0 <= spike_index < m:
+        if _check_int("spike_index", spike_index, 0) >= m:
             raise ValueError(
                 f"spike_index must satisfy 0 <= spike_index < m; "
                 f"got {spike_index}")
@@ -253,10 +263,14 @@ def generate_low_rank(m, n, r, rng, coherence_mode="incoherent",
 
 
 def _check_rank(r, m, n):
-    """ValueError unless the rank ``r`` lies in [1, min(m, n)]."""
-    if not 1 <= r <= min(m, n):
+    """ValueError unless ``m`` and ``n`` are positive integers and the
+    integer rank ``r`` lies in [1, min(m, n)].  The rank's range is
+    tested first, so an ``r`` of 0 or NaN gets the message that states
+    the bound."""
+    if not 1 <= r <= min(_check_int("m", m), _check_int("n", n)):
         raise ValueError(f"rank r must satisfy 1 <= r <= {min(m, n)} = "
                          f"min(m, n) with m = {m}, n = {n}; got {r}")
+    _check_int("r", r)
 
 
 def _check_epsilon(epsilon):
@@ -421,12 +435,12 @@ def make_instance(m, n, r, epsilon, seed, coherence_mode="incoherent",
                   noise_mode="sphere", spike_index=0, spike_weight=0.99):
     """Generate a full ProblemInstance from a single seed.
 
-    Generation and noise use independent substreams of the seed (an int
-    or an RngState), so the same seed always reproduces the same
-    instance.
+    Generation and noise use independent substreams of the seed (an
+    RngState, or an integer seed that ``RngState`` takes), so the same
+    seed always reproduces the same instance.
     """
     _check_epsilon(epsilon)
-    root = seed if isinstance(seed, RngState) else RngState(int(seed))
+    root = seed if isinstance(seed, RngState) else RngState(seed)
     L, basis = generate_low_rank(
         m, n, r, root.substream(_STREAM_BASIS),
         coherence_mode=coherence_mode,
@@ -824,7 +838,9 @@ def read_matrix(path):
 
 def save_instance(dirpath, inst, seed, noise_mode, coherence_mode="incoherent"):
     """Write an instance bundle: ``L.mat``, ``M.mat`` and a ``meta`` file
-    of key=value lines."""
+    of key=value lines.  ``seed`` is an integer seed that ``RngState``
+    takes; any other raises ``ValueError`` before anything is written."""
+    seed = RngState(seed).seed
     os.makedirs(dirpath, exist_ok=True)
     write_matrix(os.path.join(dirpath, "L.mat"), inst.L)
     write_matrix(os.path.join(dirpath, "M.mat"), inst.M)
@@ -834,7 +850,7 @@ def save_instance(dirpath, inst, seed, noise_mode, coherence_mode="incoherent"):
         f"n={n}",
         f"r={inst.r}",
         f"epsilon={inst.epsilon:.17g}",
-        f"seed={int(seed)}",
+        f"seed={seed}",
         f"mode={noise_mode}",
         f"coherence_mode={coherence_mode}",
         f"mu={coherence(inst.true_basis):.17g}",

@@ -36,7 +36,7 @@ from .linalg import (
     vector_vector_angle,
 )
 from .lrebn import _budget_formula, residual_threshold
-from .sampling import RngState, sample_uniform_subset
+from .sampling import RngState, _check_int
 from .synthetic import _check_epsilon
 
 __all__ = [
@@ -141,20 +141,16 @@ class _Tally:
 
 
 def _start(rng, name, trials, tol=DET_TOL):
-    """Per-check root stream from an int seed or RngState, and the check's
-    empty tally.  Every trial-driven check calls this before its first
-    draw, so it also validates ``trials``."""
-    if not (isinstance(trials, (int, np.integer)) and trials >= 1):
-        raise ValueError(f"trials must be a positive integer; got {trials}")
+    """Per-check root stream from an RngState or an integer seed, and the
+    check's empty tally.  Every trial-driven check calls this before its
+    first draw, so it also validates ``trials`` and the seed, each by
+    ``_check_int``."""
+    trials = _check_int("trials", trials)
     stream = _CHECKS[name][0]
     if isinstance(rng, RngState):
         state = rng.substream(stream)
-    elif isinstance(rng, (int, np.integer)):
-        state = RngState(int(rng), stream)
     else:
-        raise TypeError(
-            "checks need a replayable stream; pass an integer seed or RngState"
-        )
+        state = RngState(rng, stream)
     return state, _Tally(name, trials, state.seed, tol)
 
 
@@ -241,6 +237,15 @@ def _restricted_residuals(basis, y, mask):
     u, s, _ = np.linalg.svd(basis * mask[:, :, None], full_matrices=False)
     u *= (s > LSTSQ_RCOND * s[:, :1])[:, None, :]
     return np.linalg.norm(y - project(u, y), axis=1)
+
+
+def _head_masks(perm, d_t):
+    """Row masks of a (t, m) stack of permutations: row i marks the first
+    ``d_t[i]`` entries of ``perm[i]`` (``d_t`` may be one size for all),
+    the rows ``sample_uniform_subset`` draws from the same generator."""
+    rank = np.empty_like(perm)
+    np.put_along_axis(rank, perm, np.arange(perm.shape[1]), axis=1)
+    return rank < np.reshape(d_t, (-1, 1))
 
 
 def _check_unit_delta(delta):
@@ -432,7 +437,10 @@ def check_conc(m, k, d, epsilon, delta, trials, rng):
     compared against 2 delta.
 
     ``d=None`` derives the budget from the sampling formula (mu = 1,
-    rank k, theta = sqrt(k eps)) clamped to m.
+    rank k, theta = sqrt(k eps)) clamped to m.  Any other ``d`` must lie
+    in [1, m] and be an integer by ``_check_int``; a float is refused,
+    never truncated.  Each trial samples the first d rows of its own
+    ``permutation(m)``.
     """
     if not 1 <= k <= m // 2 + 1:
         raise ValueError("need 1 <= k and 2 (k - 1) <= m to rotate into "
@@ -445,7 +453,7 @@ def check_conc(m, k, d, epsilon, delta, trials, rng):
         d = min(m, _budget_formula(1.0, k, delta, m, sqrt_keps))
     if not 1 <= d <= m:
         raise ValueError("need 1 <= d <= m")
-    d = int(d)
+    d = _check_int("d", d)
     spread = min(math.pi / 4, 1.5 * math.pi * math.sqrt((k - 1) * epsilon))
 
     def draw(gen, t):
@@ -459,13 +467,10 @@ def check_conc(m, k, d, epsilon, delta, trials, rng):
                      gen.uniform(0.0, max_angle, size=k - 1),
                      gen.uniform(0.0, math.pi / 2), gen.standard_normal(k - 1),
                      gen.standard_normal((m, 1)))
-        noise = gen.standard_normal(m)
-        mask = np.zeros(m, dtype=bool)
-        mask[sample_uniform_subset(m, d, gen)] = True
-        return *frame, noise, mask
+        return *frame, gen.standard_normal(m), gen.permutation(m)
 
     for chunk in _chunks(0, trials, m * k):
-        *frame, noise, mask = _draws(state, chunk, draw)
+        *frame, noise, perm = _draws(state, chunk, draw)
         if k == 1:
             clean, = frame
             tilted = np.zeros((len(chunk), m, 0))
@@ -481,7 +486,7 @@ def check_conc(m, k, d, epsilon, delta, trials, rng):
                      + np.sin(psi)[:, None] * outside)
         column = clean + epsilon * (
             noise / np.linalg.norm(noise, axis=1, keepdims=True))
-        residual = _restricted_residuals(tilted, column, mask)
+        residual = _restricted_residuals(tilted, column, _head_masks(perm, d))
         hit = residual > residual_threshold(d, m, k, epsilon, theta)
         angle = vector_subspace_angle(column[hit], tilted[hit])
         tally.add(angle - (theta[hit] + sqrt_keps))
@@ -513,12 +518,15 @@ def check_ks14(m, k, d, delta, trials, rng):
     zeta < 1/3.  The report gates on upper-bound violations over
     upper-applicable trials against a 2 delta bound; lower-bound status
     is recorded in params.  ``d=None`` picks, per trial, the smallest d
-    satisfying the stated preconditions and alpha < 1/2.
+    satisfying the stated preconditions and alpha < 1/2; any other ``d``
+    must lie in [1, m] and be an integer by ``_check_int``.
     """
     if not 1 <= k <= m:
         raise ValueError("need 1 <= k <= m")
-    if d is not None and not 1 <= d <= m:
-        raise ValueError("need 1 <= d <= m")
+    if d is not None:
+        if not 1 <= d <= m:
+            raise ValueError("need 1 <= d <= m")
+        d = _check_int("d", d)
     _check_unit_delta(delta)
     state, tally = _start(rng, "ks14", trials, tol=1e-12)
     ln_inv = math.log(1.0 / delta)
@@ -552,7 +560,7 @@ def check_ks14(m, k, d, delta, trials, rng):
             d_t = np.minimum(
                 m, np.ceil(np.maximum(d_pre, d_alpha)).astype(np.int64) + 1)
         else:
-            d_t = np.full(len(chunk), int(d))
+            d_t = np.full(len(chunk), d)
         d_lo = min(d_lo, int(d_t.min()))
         d_hi = max(d_hi, int(d_t.max()))
 
@@ -561,13 +569,9 @@ def check_ks14(m, k, d, delta, trials, rng):
         zeta = np.sqrt((8.0 * k * mu_sub / (3.0 * d_t)) * ln_2k)
         use = (alpha < 0.5) & (d_t >= d_pre)
 
-        # Omega is the head of the trial's permutation, the rows
-        # ``sample_uniform_subset`` would draw: d_t is known only now.
-        mask = np.zeros((len(chunk), m), dtype=bool)
-        for i in np.flatnonzero(use):
-            mask[i, perm[i, :d_t[i]]] = True
+        # Each trial's Omega heads its permutation; d_t is known only now.
         r2_restricted = _restricted_residuals(
-            basis[use], y[use], mask[use]) ** 2
+            basis[use], y[use], _head_masks(perm[use], d_t[use])) ** 2
         d_t, alpha, zeta, mu_sub, r2_full = (
             d_t[use], alpha[use], zeta[use], mu_sub[use], r2_full[use])
 
@@ -581,7 +585,7 @@ def check_ks14(m, k, d, delta, trials, rng):
     return tally.report(
         {
             "m": m, "k": k, "delta": delta,
-            "d": "per-trial" if d is None else int(d),
+            "d": "per-trial" if d is None else d,
             "d_min": 0 if d_lo == math.inf else d_lo,
             "d_max": d_hi,
             "upper_applicable": tally.measured,
@@ -678,8 +682,11 @@ def run_check(name, trials=None, seed=0, **overrides):
     """Run one named check with its default parameterization.
 
     ``trials`` falls back to a per-check default; keyword overrides are
-    merged into the default parameters.  The grid-driven ededler check
-    ignores trials and seed.
+    merged into the default parameters.  ``trials`` and ``seed`` reach
+    the check unconverted, where ``_start`` holds them to
+    ``sampling._check_int``: ``trials`` must be a positive and ``seed`` a
+    non-negative integer, and a bool or a float raises ``ValueError``.
+    The grid-driven ededler check ignores trials and seed.
     """
     if name not in _CHECKS:
         raise ValueError(f"unknown check {name!r}; choose from {CHECK_NAMES}")
@@ -688,5 +695,5 @@ def run_check(name, trials=None, seed=0, **overrides):
     func = globals()[f"check_{name}"]
     if default_trials is None:
         return func(**params)
-    n_trials = default_trials if trials is None else int(trials)
-    return func(trials=n_trials, rng=seed, **params)
+    return func(trials=default_trials if trials is None else trials,
+                rng=seed, **params)

@@ -514,6 +514,39 @@ def test_sweep_rejects_a_list_with_no_value(tmp_path, monkeypatch, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, name", [
+    pytest.param(["generate", "--m", "0", "--n", "5", "--r", "1",
+                  "--epsilon", "0"], "m", id="generate-m"),
+    pytest.param(["generate", "--m", "6", "--n", "5", "--r", "1",
+                  "--epsilon", "0", "--seed", "-1"], "seed",
+                 id="generate-seed"),
+    pytest.param(["sweep", "--m", "60,0", "--n", "80", "--r", "4",
+                  "--epsilon", "0"], "m", id="sweep-m"),
+    pytest.param(["sweep", "--m", "30", "--n", "20", "--r", "2",
+                  "--epsilon", "0", "--trials", "0"], "trials",
+                 id="sweep-trials"),
+    pytest.param(["verify", "--names", "ind", "--trials", "0"], "trials",
+                 id="verify-trials"),
+])
+def test_bad_integer_is_one_library_error_line(tmp_path, monkeypatch, capsys,
+                                               argv, name):
+    """Sizes, counts and seeds are checked by the library, like --epsilon:
+    one error line naming the parameter, exit 2, nothing written."""
+    calls = []
+    monkeypatch.setattr(cli, "_sweep_cell", lambda *a: calls.append(a))
+    out = tmp_path / "out"
+    rc = cli.main([*argv, "--out", str(out)])
+    assert rc == 2
+    captured = capsys.readouterr()
+    err = captured.err
+    assert err.startswith(f"error: {name} must be a "), err
+    assert err.count("\n") == 1, err
+    assert "usage" not in err and "Traceback" not in err
+    assert captured.out == ""
+    assert calls == []
+    assert not out.exists()
+
+
 def test_sweep_runs_full_rank_cells(tmp_path):
     # At r = m the true basis spans the whole space: its coherence is 1,
     # which rounding in the row norms must not take below 1.

@@ -504,6 +504,20 @@ def test_oracle_range_checks_a_pattern_drawn_for_a_taller_matrix():
     assert oracle.entry_count == 0
 
 
+def test_oracle_refuses_a_bool_column_index():
+    # numpy reads hidden[:, True] as a new axis: this read used to return
+    # rows 0-1 of every column while charging two entries to column 1.
+    oracle = ObservationOracle(np.arange(12.0).reshape(4, 3))
+    with pytest.raises(ValueError, match="column index j"):
+        oracle.entries([0, 1], True)
+    with pytest.raises(IndexError, match="out of range"):
+        oracle.column(3)
+    assert oracle.entry_count == 0
+    np.testing.assert_array_equal(oracle.entries([0, 1], np.int64(1)),
+                                  [1.0, 4.0])
+    assert oracle.entry_count == 2
+
+
 def test_oracle_concurrent_reads_lose_no_counts():
     import concurrent.futures
 

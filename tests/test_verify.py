@@ -15,12 +15,13 @@ from adaptive_mc.linalg import (
 )
 from adaptive_mc.lrebn import LrebnConfig, updated_budget
 from adaptive_mc import verify
-from adaptive_mc.sampling import RngState
+from adaptive_mc.sampling import RngState, sample_uniform_subset
 from adaptive_mc.verify import (
     CHECK_NAMES,
     CheckReport,
     _frames,
     _full_frames,
+    _head_masks,
     _restricted_residuals,
     check_blum,
     check_conc,
@@ -208,6 +209,22 @@ def test_full_frames_raise_on_a_dependent_column_instead_of_redrawing():
     raw[1, :, 2] = raw[1, :, 0] - 2.0 * raw[1, :, 1]
     with pytest.raises(RuntimeError, match="rank-deficient random frame"):
         _full_frames(raw)
+
+
+def test_head_masks_are_the_rows_sample_uniform_subset_draws():
+    # conc and ks14 sample rows through these masks: trial i reads the
+    # rows sample_uniform_subset(m, d_t[i], gen) draws from a generator
+    # in the same state.
+    m, d_t = 30, np.array([1, 7, 29, 30, 12])
+    perm = np.stack([RngState(5, i).generator().permutation(m)
+                     for i in range(len(d_t))])
+    expected = np.zeros((len(d_t), m), dtype=bool)
+    for i, d in enumerate(d_t):
+        expected[i, sample_uniform_subset(m, d, RngState(5, i))] = True
+    np.testing.assert_array_equal(_head_masks(perm, d_t), expected)
+    # One size for every trial, as conc passes it.
+    np.testing.assert_array_equal(_head_masks(perm, 7),
+                                  _head_masks(perm, np.full(len(d_t), 7)))
 
 
 def test_restricted_residuals_match_solver():

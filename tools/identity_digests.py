@@ -13,7 +13,9 @@ Each line is a label and the first 16 hex digits of a SHA-256:
   ``zero-noise``: ``add_bounded_noise`` with epsilon = 0 on an ``L``
   holding ``-0.0`` entries.
 * ``report``: each ``verify.run_check`` report at default trials for
-  seeds 0, 1 and 7.
+  seeds 0, 1 and 7, and the conc report at d = 40 for the same seeds.
+  conc's default budget clamps to d = m = 200, where every row is
+  sampled, so only a sub-sampled d shows which rows a trial reads.
 * ``cli``: each file the CLI writes for a fixed ``generate``, ``run``,
   ``sweep`` and ``verify``, the reruns that must stay byte-identical.
 * ``file``: the ``write_matrix`` bytes of an edge matrix (signed zeros,
@@ -127,6 +129,9 @@ def main():
         print(f"report seed={seed}: " + ", ".join(
             f"{name} {digest(report_bytes(run_check(name, seed=seed)))}"
             for name in CHECK_NAMES))
+    for seed in (0, 1, 7):
+        rep = run_check("conc", seed=seed, d=40)
+        print(f"report conc d=40 seed={seed}: {digest(report_bytes(rep))}")
 
     inst = make_instance(2000, 60, 2, 0.01, 4)
     for redraw in ("on-update", "per-column"):
