@@ -24,17 +24,19 @@ import numpy as np
 
 from .linalg import coherence
 from .lrebn import (
-    REDRAW_ON_UPDATE,
-    REDRAW_PER_COLUMN,
+    _OMEGA_REDRAWS,
     LrebnConfig,
     recovery_errors,
     run_lrebn,
 )
 from .sampling import RngState, _check_int
 from .synthetic import (
+    _COHERENCE_MODES,
+    _NOISE_MODES,
     ObservationOracle,
     _check_rank,
-    load_instance,
+    _load_matrices,
+    _load_meta,
     make_instance,
     save_instance,
 )
@@ -146,8 +148,11 @@ def _write_manifest(path, cfg):
 
 
 def cmd_run(args):
-    L, M, meta = load_instance(args.instance)
+    # The config comes from meta alone, so a bad flag is refused before
+    # either matrix is parsed.
+    meta = _load_meta(args.instance)
     cfg = _build_config(args, float(meta["epsilon"]), int(meta["r"]), meta)
+    L, M = _load_matrices(args.instance, meta)
     oracle = ObservationOracle(M)
     result = run_lrebn(oracle, cfg)
     errors = recovery_errors(result, L)
@@ -268,8 +273,7 @@ def _add_ablation_flags(p):
     p.add_argument("--no-budget-cap", dest="no_budget_cap",
                    action="store_true")
     p.add_argument("--omega-redraw", dest="omega_redraw",
-                   choices=[REDRAW_ON_UPDATE, REDRAW_PER_COLUMN],
-                   default=REDRAW_ON_UPDATE)
+                   choices=_OMEGA_REDRAWS, default=_OMEGA_REDRAWS[0])
 
 
 def _ablation_settings(args):
@@ -303,9 +307,9 @@ def build_parser():
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--out", required=True)
     g.add_argument("--noise-mode", dest="noise_mode",
-                   choices=["sphere", "scaled-gaussian"], default="sphere")
+                   choices=_NOISE_MODES, default=_NOISE_MODES[0])
     g.add_argument("--coherence-mode", dest="coherence_mode",
-                   choices=["incoherent", "spiked"], default="incoherent")
+                   choices=_COHERENCE_MODES, default=_COHERENCE_MODES[0])
     g.add_argument("--spike-index", dest="spike_index", type=int, default=0)
     g.add_argument("--spike-weight", dest="spike_weight", type=float,
                    default=0.99)
@@ -329,7 +333,7 @@ def build_parser():
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--out", required=True)
     s.add_argument("--noise-mode", dest="noise_mode",
-                   choices=["sphere", "scaled-gaussian"], default="sphere")
+                   choices=_NOISE_MODES, default=_NOISE_MODES[0])
     _add_ablation_flags(s)
     s.set_defaults(func=cmd_sweep)
 

@@ -58,7 +58,8 @@ from .linalg import (
     extend_basis,
     vector_subspace_angle,
 )
-from .sampling import RngState, _check_int, sample_uniform_subset
+from .sampling import (RngState, _check_int, _check_mode, _check_real,
+                       sample_uniform_subset)
 from .synthetic import _check_epsilon
 
 __all__ = [
@@ -87,13 +88,23 @@ RESIDUAL_FLOOR = 1e-9
 # Stream label for the row-pattern draws inside a run.
 _STREAM_OMEGA = 7
 
-REDRAW_ON_UPDATE = "on-update"
-REDRAW_PER_COLUMN = "per-column"
+# The row-pattern redraw policies, the default first.
+_OMEGA_REDRAWS = ("on-update", "per-column")
+REDRAW_ON_UPDATE, REDRAW_PER_COLUMN = _OMEGA_REDRAWS
 
 
 @dataclass(frozen=True)
 class LrebnConfig:
     """Run parameters.
+
+    Each field is held to one rule of ``sampling`` when the config is
+    built, and holds the value its check returns: a Python float, int,
+    bool or mode name.  A value of the wrong kind raises ``ValueError``
+    naming the field; none is converted.  A real-number field takes an
+    ``int``, a ``float`` or a numpy integer or float (``_check_real``:
+    never a bool, a str, None, a complex number or NaN); a flag takes
+    only a bool or a numpy bool, so ``estimate_mu="False"`` is refused,
+    not read as true; a mode only one of its names.
 
     Attributes
     ----------
@@ -139,27 +150,25 @@ class LrebnConfig:
     seed: int = 0
 
     def __post_init__(self):
-        _check_epsilon(self.epsilon)
-        if not 0.0 < self.delta < MAX_DELTA:
-            raise ValueError(
-                f"delta must satisfy 0 < delta < {MAX_DELTA}; got {self.delta}"
-            )
-        _check_int("r", self.r)
+        store = functools.partial(object.__setattr__, self)
+        store("epsilon", _check_epsilon(self.epsilon))
+        store("delta", _check_real("delta", self.delta, 0.0, MAX_DELTA, "()"))
+        store("r", _check_int("r", self.r))
         if self.r >= 2 and self.delta > self.r ** (-0.125):
             raise ValueError(
                 f"delta must be <= r**(-1/8) = {self.r ** (-0.125):.6g} "
                 f"for r = {self.r}"
             )
-        if not (math.isfinite(self.mu_upper) and self.mu_upper >= 1.0):
-            raise ValueError(
-                f"mu_upper must be a finite number >= 1; got {self.mu_upper}"
-            )
-        _check_int("seed", self.seed, 0)
-        if self.omega_redraw not in (REDRAW_ON_UPDATE, REDRAW_PER_COLUMN):
-            raise ValueError(
-                f"omega_redraw must be '{REDRAW_ON_UPDATE}' or "
-                f"'{REDRAW_PER_COLUMN}'"
-            )
+        store("mu_upper",
+              _check_real("mu_upper", self.mu_upper, 1.0, ends="[)"))
+        store("seed", _check_int("seed", self.seed, 0))
+        store("omega_redraw", _check_mode("omega_redraw", self.omega_redraw,
+                                          _OMEGA_REDRAWS))
+        for name in ("budget_cap_to_m", "angle_cap_enabled", "estimate_mu"):
+            flag = getattr(self, name)
+            if not isinstance(flag, (bool, np.bool_)):
+                raise ValueError(f"{name} must be a bool; got {flag!r}")
+            store(name, bool(flag))
 
 
 class ColumnRecord(NamedTuple):
@@ -281,8 +290,7 @@ def _budgets(cfg, mu, m, theta_tilde):
     coherence bound ``mu``: the ceiled value (at least 1) and the budget
     in force after the optional clamp to m."""
     m = _check_int("m", m)
-    if not 0.0 <= theta_tilde <= math.pi / 2 + 1e-12:
-        raise ValueError("theta_tilde must lie in [0, pi/2]")
+    _check_real("theta_tilde", theta_tilde, 0.0, math.pi / 2 + 1e-12)
     d_formula = _budget_formula(mu, cfg.r, cfg.delta, m, theta_tilde)
     return d_formula, (min(d_formula, m) if cfg.budget_cap_to_m else d_formula)
 
@@ -320,7 +328,8 @@ def angle_increment(theta_tilde_prev, theta_new_col, cfg, k):
         Angle between the newly observed column and the previous
         estimated subspace.
     k : int
-        Dimension after adding the column (>= 1).
+        Dimension after adding the column; an integer of at least 1 by
+        ``sampling._check_int``.
 
     Returns
     -------
@@ -328,8 +337,7 @@ def angle_increment(theta_tilde_prev, theta_new_col, cfg, k):
         New theta_tilde; non-decreasing in k, capped at
         ``(3 pi / 2) sqrt(k epsilon)`` when enabled and at pi/2 always.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1 (dimension after the update)")
+    _check_int("k", k)
     eps = cfg.epsilon
     if eps == 0.0:
         # Numerator vanishes; the estimate stays wherever it is (0).

@@ -9,10 +9,19 @@ Generators are Philox4x64 counter-based bit generators keyed through
 platform.  Parallel consumers never share a generator; each derives its
 own substream from the root seed.
 
-``_check_int`` is the package's one rule for an integer a caller passes
-in (a size, a count, an index, a seed or a stream label): an ``int`` or
-a numpy integer at or above its bound.  A bool, a float or anything else
-raises ``ValueError`` naming the parameter; nothing is truncated.
+One rule per kind of parameter a caller passes in, each raising
+``ValueError`` naming the parameter and converting nothing it refuses:
+
+* ``_check_int`` for an integer (a size, a count, an index, a seed or a
+  stream label): an ``int`` or a numpy integer at or above its bound.  A
+  bool, a float or anything else is refused; nothing is truncated.
+* ``_check_real`` for a real number (a noise level, a failure rate, a
+  coherence bound, an angle, a weight): an ``int``, a ``float`` or a
+  numpy integer or float, returned as a Python float inside a stated
+  open or closed range.  A bool, a str, None or a complex number is
+  refused, and NaN lies in no range.
+* ``_check_mode`` for a named mode: a str in the owning module's tuple
+  of mode names.
 
 A row pattern is a validated index set: a strictly increasing, read-only
 ``intp`` array over immutable memory, so no one can make it writable
@@ -102,6 +111,45 @@ def _check_int(name, value, low=1):
                          f"{'positive' if low else 'non-negative'} integer; "
                          f"got {value}")
     return operator.index(value)
+
+
+def _check_real(name, value, low=None, high=np.inf, ends="[]"):
+    """``value`` as a Python float if it is an ``int``, a ``float`` or a
+    numpy integer or float from ``low`` to ``high``, each end closed or
+    open as ``ends`` says ("[]", "[)", "(]" or "()"); else ``ValueError``
+    naming ``name``.
+
+    A bool, a numpy bool, a str, None or a complex number is refused,
+    never converted, even where it would convert to a number in range.
+    Every comparison with NaN is false, so NaN lies in no range, and an
+    int past the float range counts as an infinity of its sign.  With
+    no ``low`` only the kind is checked: ``synthetic._check_epsilon``
+    states epsilon's range, and its message, itself.
+    """
+    if isinstance(value, bool) or not isinstance(
+            value, (int, float, np.integer, np.floating)):
+        raise ValueError(f"{name} must be a real number; got {value!r}")
+    try:
+        value = float(value)
+    except OverflowError:  # an int past the float range
+        value = np.inf if value > 0 else -np.inf
+    if low is not None and not (
+            low < value < high or value == low and ends[0] == "["
+            or value == high and ends[1] == "]"):
+        raise ValueError(
+            f"{name} must satisfy {low:g} {'<=' if ends[0] == '[' else '<'} "
+            f"{name} {'<=' if ends[1] == ']' else '<'} {high:g}; got {value}")
+    return value
+
+
+def _check_mode(name, value, modes):
+    """``value`` as a Python str if it is a str in ``modes``, the owning
+    module's tuple of mode names; else ``ValueError`` naming ``name`` and
+    the modes."""
+    if not (isinstance(value, str) and value in modes):
+        raise ValueError(f"{name} must be one of {', '.join(modes)}; "
+                         f"got {value!r}")
+    return str(value)
 
 
 def _check_index_set(omega, ambient, range_error=ValueError):

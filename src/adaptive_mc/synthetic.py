@@ -24,7 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import OrthonormalBasis, _block_rows, coherence, orthonormalize
-from .sampling import RngState, _check_index_set, _check_int, as_generator
+from .sampling import (RngState, _check_index_set, _check_int, _check_mode,
+                       _check_real, as_generator)
 
 __all__ = [
     "MAX_EPSILON",
@@ -41,6 +42,11 @@ __all__ = [
 
 # The bounded-noise model requires epsilon < 1/4.
 MAX_EPSILON = 0.25
+
+# The named modes of generate_low_rank and add_bounded_noise, each
+# signature's default first.
+_COHERENCE_MODES = ("incoherent", "spiked")
+_NOISE_MODES = ("sphere", "scaled-gaussian")
 
 # Stream labels for instance construction.
 _STREAM_BASIS = 1
@@ -207,29 +213,29 @@ def generate_low_rank(m, n, r, rng, coherence_mode="incoherent",
         ``sampling._check_int``: a float or bool raises ``ValueError``
         before any draw, never truncated; numpy integers are taken.
     coherence_mode : {"incoherent", "spiked"}
-        "incoherent" orthonormalizes a Gaussian block.  "spiked" blends
-        the first basis direction toward the standard vector
-        ``e_{spike_index}`` with the given weight, driving the coherence
-        toward its maximum m / r.  In spiked mode ``spike_index`` must be
-        an integer in ``[0, m)`` and ``spike_weight`` in ``[0, 1]``;
-        anything else raises ``ValueError`` before any draw.
+        Held to ``sampling._check_mode``: any other value, a non-str
+        included, raises ``ValueError``.  "incoherent" orthonormalizes a
+        Gaussian block.  "spiked" blends the first basis direction toward
+        the standard vector ``e_{spike_index}`` with the given weight,
+        driving the coherence toward its maximum m / r.  In spiked mode
+        ``spike_index`` must be an integer in ``[0, m)`` and
+        ``spike_weight`` a real number in ``[0, 1]`` by
+        ``sampling._check_real`` (a bool, a str or NaN is refused, a numpy
+        float is taken as a Python float); anything else raises
+        ``ValueError`` before any draw.
 
     Returns
     -------
     (L, basis) : (ndarray (m, n), OrthonormalBasis)
     """
     _check_rank(r, m, n)
-    if coherence_mode not in ("incoherent", "spiked"):
-        raise ValueError(f"unknown coherence_mode {coherence_mode!r}")
-    if coherence_mode == "spiked":
+    if _check_mode("coherence_mode", coherence_mode,
+                   _COHERENCE_MODES) == "spiked":
         if _check_int("spike_index", spike_index, 0) >= m:
             raise ValueError(
                 f"spike_index must satisfy 0 <= spike_index < m; "
                 f"got {spike_index}")
-        if not (np.isfinite(spike_weight) and 0.0 <= spike_weight <= 1.0):
-            raise ValueError(
-                f"spike_weight must be a finite number in [0, 1]; "
-                f"got {spike_weight}")
+        spike_weight = _check_real("spike_weight", spike_weight, 0.0, 1.0)
     gen = as_generator(rng)
     # The m x n output comes first: allocated after the small draws below,
     # it finds a freed m x n block (an earlier oracle's store, say) split
@@ -274,8 +280,9 @@ def _check_rank(r, m, n):
 
 
 def _check_epsilon(epsilon):
-    """``epsilon`` as a float; ValueError unless it lies in [0, 1/4)."""
-    epsilon = float(epsilon)
+    """``epsilon`` as a Python float; ValueError unless it is a real
+    number by ``sampling._check_real`` that lies in [0, 1/4)."""
+    epsilon = _check_real("epsilon", epsilon)
     if not 0.0 <= epsilon < MAX_EPSILON:
         raise ValueError(
             f"epsilon must be < {MAX_EPSILON} and non-negative (bounded-noise "
@@ -291,15 +298,17 @@ def add_bounded_noise(L, epsilon, rng, true_basis, mode="sphere"):
     ----------
     epsilon : float
         Per-column noise bound; the model requires ``0 <= epsilon < 1/4``.
+        A real number by ``sampling._check_real``, kept as a Python float.
     true_basis : OrthonormalBasis
         Basis of the column space of ``L``; its dimension is the rank r,
         which must lie in ``[1, min(m, n)]``.
     mode : {"sphere", "scaled-gaussian"}
-        "sphere" puts every noise column exactly on the radius-epsilon
-        sphere (the worst case).  "scaled-gaussian" rescales a Gaussian
-        column to a uniform-random radius in [0, epsilon].  Either way the
-        Gaussian is drawn once: an all-zero column has probability zero and
-        raises ``RuntimeError``.
+        Held to ``sampling._check_mode``.  "sphere" puts every noise
+        column exactly on the radius-epsilon sphere (the worst case).
+        "scaled-gaussian" rescales a Gaussian column to a uniform-random
+        radius in [0, epsilon].  Either way the Gaussian is drawn once:
+        an all-zero column has probability zero and raises
+        ``RuntimeError``.
 
     The m x n Gaussian draw is the buffer that becomes ``M``.  The noise
     norms are row-sequential sums of squares over blocks of about a
@@ -314,8 +323,7 @@ def add_bounded_noise(L, epsilon, rng, true_basis, mode="sphere"):
     """
     L = np.asarray(L, dtype=float)
     epsilon = _check_epsilon(epsilon)
-    if mode not in ("sphere", "scaled-gaussian"):
-        raise ValueError(f"unknown noise mode {mode!r}")
+    _check_mode("mode", mode, _NOISE_MODES)
     m, n = L.shape
     if true_basis.ambient_dim != m:
         raise ValueError(f"true basis has shape {true_basis.matrix.shape}; "
@@ -437,9 +445,12 @@ def make_instance(m, n, r, epsilon, seed, coherence_mode="incoherent",
 
     Generation and noise use independent substreams of the seed (an
     RngState, or an integer seed that ``RngState`` takes), so the same
-    seed always reproduces the same instance.
+    seed always reproduces the same instance.  ``epsilon`` and
+    ``noise_mode`` are checked before ``L`` is built, the other
+    parameters by ``generate_low_rank`` before its first draw.
     """
     _check_epsilon(epsilon)
+    _check_mode("noise_mode", noise_mode, _NOISE_MODES)
     root = seed if isinstance(seed, RngState) else RngState(seed)
     L, basis = generate_low_rank(
         m, n, r, root.substream(_STREAM_BASIS),
@@ -839,8 +850,13 @@ def read_matrix(path):
 def save_instance(dirpath, inst, seed, noise_mode, coherence_mode="incoherent"):
     """Write an instance bundle: ``L.mat``, ``M.mat`` and a ``meta`` file
     of key=value lines.  ``seed`` is an integer seed that ``RngState``
-    takes; any other raises ``ValueError`` before anything is written."""
+    takes, and ``noise_mode`` and ``coherence_mode`` are modes of
+    ``add_bounded_noise`` and ``generate_low_rank`` by
+    ``sampling._check_mode``; any other value raises ``ValueError``
+    before anything is written."""
     seed = RngState(seed).seed
+    _check_mode("noise_mode", noise_mode, _NOISE_MODES)
+    _check_mode("coherence_mode", coherence_mode, _COHERENCE_MODES)
     os.makedirs(dirpath, exist_ok=True)
     write_matrix(os.path.join(dirpath, "L.mat"), inst.L)
     write_matrix(os.path.join(dirpath, "M.mat"), inst.M)
@@ -869,8 +885,17 @@ def load_instance(dirpath):
     ``m`` and ``n`` parse as integers, ``epsilon`` and ``mu`` as numbers;
     ``m`` and ``n`` equal the matrices' shape; ``r`` lies in
     [1, min(m, n)].  Each meta error names the meta file.  The rules
-    that need only ``meta`` are checked before either matrix is parsed.
+    that need only ``meta`` are checked before either matrix is parsed
+    (``_load_meta``), the rank against ``m`` and ``n`` too where ``meta``
+    states both.
     """
+    meta = _load_meta(dirpath)
+    return (*_load_matrices(dirpath, meta), meta)
+
+
+def _load_meta(dirpath):
+    """The bundle's meta dict, held to every rule of ``load_instance``
+    that needs no matrix."""
     meta_path = os.path.join(dirpath, "meta")
     meta = {}
     with open(meta_path, "r", encoding="ascii") as fh:
@@ -897,6 +922,15 @@ def load_instance(dirpath):
                 noun = "an integer" if kind is int else "a number"
                 raise ValueError(f"{meta_path}: {key} must be {noun}; "
                                  f"got {meta[key]!r}") from None
+    if "m" in meta and "n" in meta:
+        _check_meta_rank(meta_path, meta, int(meta["m"]), int(meta["n"]))
+    return meta
+
+
+def _load_matrices(dirpath, meta):
+    """``(L, M)`` of the bundle whose ``_load_meta`` dict is ``meta``,
+    held to the rules of ``load_instance`` that need the matrices."""
+    meta_path = os.path.join(dirpath, "meta")
     L = read_matrix(os.path.join(dirpath, "L.mat"))
     M = read_matrix(os.path.join(dirpath, "M.mat"))
     if M.shape != L.shape:
@@ -906,8 +940,13 @@ def load_instance(dirpath):
         if key in meta and int(meta[key]) != size:
             raise ValueError(f"{meta_path}: {key}={meta[key]} but the "
                              f"matrices are {L.shape[0]}x{L.shape[1]}")
+    _check_meta_rank(meta_path, meta, *L.shape)
+    return L, M
+
+
+def _check_meta_rank(meta_path, meta, m, n):
+    """``_check_rank`` on the meta rank, its error naming the meta file."""
     try:
-        _check_rank(int(meta["r"]), *L.shape)
+        _check_rank(int(meta["r"]), m, n)
     except ValueError as exc:
         raise ValueError(f"{meta_path}: {exc}") from None
-    return L, M, meta

@@ -8,6 +8,14 @@ matcher) report an empirical violation frequency that must stay within
 the stated bound plus three binomial standard errors, so finite-sample
 noise cannot flake a verdict.
 
+Every parameter is checked before the first generator is built, each by
+the one rule of ``sampling`` for its kind: a size by ``_check_int``,
+folded into the relation the check states between its sizes, and a real
+number by ``_check_real`` (or ``synthetic._check_epsilon`` for the noise
+level), whose Python float the check then uses.  A bool, a float size, a
+str, None, a complex number or NaN raises ``ValueError`` naming the
+parameter.
+
 Every report is reproducible bit for bit from (name, params, seed).  A
 check states its per-trial draw as ``draw(gen, t)``, a tuple of arrays
 from trial t's own generator; ``_draws`` stacks a chunk of trials, so the
@@ -36,7 +44,7 @@ from .linalg import (
     vector_vector_angle,
 )
 from .lrebn import _budget_formula, residual_threshold
-from .sampling import RngState, _check_int
+from .sampling import RngState, _check_int, _check_real
 from .synthetic import _check_epsilon
 
 __all__ = [
@@ -248,11 +256,6 @@ def _head_masks(perm, d_t):
     return rank < np.reshape(d_t, (-1, 1))
 
 
-def _check_unit_delta(delta):
-    if not 0.0 < delta < 1.0:
-        raise ValueError(f"delta must lie in (0, 1); got {delta}")
-
-
 # ---------------------------------------------------------------------------
 # Deterministic inequalities
 # ---------------------------------------------------------------------------
@@ -260,9 +263,12 @@ def _check_unit_delta(delta):
 def check_kcoh(m, r, k, trials, rng):
     """Nested-subspace coherence: k mu(S) <= r mu(U) for any k-dim
     subspace S of an r-dim U.  Every fourth trial plants a coordinate
-    axis into U to probe the maximally coherent corner."""
-    if not 1 <= k <= r <= m:
+    axis into U to probe the maximally coherent corner.  ``m``, ``r`` and
+    ``k`` are integers by ``_check_int``."""
+    if not 1 <= k <= r <= _check_int("m", m):
         raise ValueError("need 1 <= k <= r <= m")
+    _check_int("r", r)
+    _check_int("k", k)
     state, tally = _start(rng, "kcoh", trials)
 
     def draw(gen, t):
@@ -283,11 +289,13 @@ def check_kcoh(m, r, k, trials, rng):
 def check_noisycoh(m, k, theta_max, trials, rng):
     """Coherence under perturbation:
     mu(S~) <= 2 mu(S) + 2 (m/k) theta(S~, S)^2, using the realized angle
-    of each perturbed copy."""
-    if not 1 <= k <= m // 2:
+    of each perturbed copy.  ``m`` and ``k`` are integers by
+    ``_check_int``, and ``theta_max`` a real number in (0, pi/2) by
+    ``_check_real``."""
+    if not 1 <= k <= _check_int("m", m) // 2:
         raise ValueError("need 1 <= k <= m/2 to rotate into the complement")
-    if not 0.0 < theta_max < math.pi / 2:
-        raise ValueError("theta_max must lie in (0, pi/2)")
+    _check_int("k", k)
+    theta_max = _check_real("theta_max", theta_max, 0.0, math.pi / 2, "()")
     state, tally = _start(rng, "noisycoh", trials)
 
     def draw(gen, t):
@@ -310,12 +318,11 @@ def check_ind(k_max, epsilon, trials, rng=0):
     Sequence 0 is the extremal one (every step maximal); the rest scale
     each step by an independent uniform factor in [0, 1].  A sequence
     counts as one violation if any of its k_max prefixes breaks the cap
-    by more than 1e-12.
+    by more than 1e-12.  ``k_max`` is an integer by ``_check_int``, and
+    ``epsilon`` a positive, finite real number by ``_check_real``.
     """
-    if k_max < 1:
-        raise ValueError("k_max must be >= 1")
-    if not 0.0 < epsilon < math.inf:
-        raise ValueError(f"epsilon must be positive and finite; got {epsilon}")
+    _check_int("k_max", k_max)
+    epsilon = _check_real("epsilon", epsilon, 0.0, ends="()")
     state, tally = _start(rng, "ind", trials, tol=1e-12)
     ks = np.arange(1, k_max + 1, dtype=float)
     max_steps = (math.pi / 2.0) * np.sqrt(epsilon / ks)
@@ -344,10 +351,11 @@ def check_ededler(m_values, r_values, delta_values, theta_values=None):
     2 m ln(r/delta) > 18 ln(1/delta)^2, guaranteed by the side condition
     9 ln(1/delta) < m.  The mu terms cancel exactly, so mu = 1 is used;
     theta = 0 gives equality, which the tolerance admits.  Grid points
-    breaking the side condition are skipped and counted.
+    breaking the side condition are skipped and counted.  Each of
+    ``delta_values`` is a real number in (0, 1) by ``_check_real``.
     """
-    for delta in delta_values:
-        _check_unit_delta(delta)
+    delta_values = [_check_real("delta", delta, 0.0, 1.0, "()")
+                    for delta in delta_values]
     if theta_values is None:
         theta_values = np.linspace(0.0, math.pi / 2, 9)
     skipped = 0
@@ -382,9 +390,11 @@ def check_blum(m, k, trials, rng):
     Trials rotate through three perturbation styles: multiplicative
     Gaussian noise on b across eight orders of magnitude, an unrelated
     random direction, and a perturbation confined to the complement of
-    U.  Trials where b~ (or b) falls into U are skipped and counted."""
-    if not 2 <= k <= m:
+    U.  Trials where b~ (or b) falls into U are skipped and counted.
+    ``m`` and ``k`` are integers by ``_check_int``."""
+    if not 2 <= k <= _check_int("m", m):
         raise ValueError("need 2 <= k <= m")
+    _check_int("k", k)
     state, tally = _start(rng, "blum", trials)
 
     def draw(gen, t):
@@ -440,13 +450,16 @@ def check_conc(m, k, d, epsilon, delta, trials, rng):
     rank k, theta = sqrt(k eps)) clamped to m.  Any other ``d`` must lie
     in [1, m] and be an integer by ``_check_int``; a float is refused,
     never truncated.  Each trial samples the first d rows of its own
-    ``permutation(m)``.
+    ``permutation(m)``.  ``m`` and ``k`` are integers by ``_check_int``,
+    ``epsilon`` lies in the model's [0, 1/4) and ``delta`` is a real
+    number in (0, 1) by ``_check_real``.
     """
-    if not 1 <= k <= m // 2 + 1:
+    if not 1 <= k <= _check_int("m", m) // 2 + 1:
         raise ValueError("need 1 <= k and 2 (k - 1) <= m to rotate into "
                          "the complement")
-    _check_epsilon(epsilon)
-    _check_unit_delta(delta)
+    _check_int("k", k)
+    epsilon = _check_epsilon(epsilon)
+    delta = _check_real("delta", delta, 0.0, 1.0, "()")
     state, tally = _start(rng, "conc", trials)
     sqrt_keps = math.sqrt(k * epsilon)
     if d is None:
@@ -519,15 +532,17 @@ def check_ks14(m, k, d, delta, trials, rng):
     upper-applicable trials against a 2 delta bound; lower-bound status
     is recorded in params.  ``d=None`` picks, per trial, the smallest d
     satisfying the stated preconditions and alpha < 1/2; any other ``d``
-    must lie in [1, m] and be an integer by ``_check_int``.
+    must lie in [1, m] and be an integer by ``_check_int``, as ``m`` and
+    ``k`` must.  ``delta`` is a real number in (0, 1) by ``_check_real``.
     """
-    if not 1 <= k <= m:
+    if not 1 <= k <= _check_int("m", m):
         raise ValueError("need 1 <= k <= m")
+    _check_int("k", k)
     if d is not None:
         if not 1 <= d <= m:
             raise ValueError("need 1 <= d <= m")
         d = _check_int("d", d)
-    _check_unit_delta(delta)
+    delta = _check_real("delta", delta, 0.0, 1.0, "()")
     state, tally = _start(rng, "ks14", trials, tol=1e-12)
     ln_inv = math.log(1.0 / delta)
     ln_2k = math.log(2.0 * k / delta)
@@ -610,26 +625,27 @@ def check_matcher(n_dim, r, L_bound, epsilon_chern, trials, rng, num_draws=200):
         r * (e^{-eps} / (1 - eps)^{1 - eps})^{mu_r / L}.
 
     The exponent is the standard negative one; a bound >= 1 is flagged
-    vacuous and the verdict is N/A.
+    vacuous and the verdict is N/A.  ``n_dim``, ``r`` and ``num_draws``
+    are integers by ``_check_int``; ``epsilon_chern`` is a real number in
+    [0, 1) and ``L_bound``, unless None, a positive, finite one by
+    ``_check_real``.
     """
-    if not 0.0 <= epsilon_chern < 1.0:
-        raise ValueError("epsilon_chern must lie in [0, 1)")
-    if not 1 <= r <= n_dim:
+    eps = _check_real("epsilon_chern", epsilon_chern, 0.0, 1.0, "[)")
+    if not 1 <= r <= _check_int("n_dim", n_dim):
         raise ValueError("need 1 <= r <= n_dim")
-    if num_draws < 1:
-        raise ValueError("num_draws must be >= 1")
-    if L_bound is not None and not 0.0 < L_bound < math.inf:
-        raise ValueError(f"L_bound must be positive and finite; got {L_bound}")
+    _check_int("r", r)
+    _check_int("num_draws", num_draws)
+    if L_bound is not None:
+        L_bound = _check_real("L_bound", L_bound, 0.0, ends="()")
     state, tally = _start(rng, "matcher", trials, tol=0.0)
     gen = state.substream(0).generator()
     rows = _full_frames(gen.standard_normal((n_dim, r))[None])[0]
     row_sq = np.einsum("ij,ij->i", rows, rows)
     max_row = float(np.max(row_sq))
-    scale = 1.0 if L_bound is None else float(L_bound) / max_row
+    scale = 1.0 if L_bound is None else L_bound / max_row
     l_eff = max_row * scale
     mu_r = num_draws * scale / n_dim
     ratio = mu_r / l_eff
-    eps = float(epsilon_chern)
     if eps == 0.0:
         tail = float(r)
     else:

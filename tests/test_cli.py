@@ -226,7 +226,7 @@ def test_out_that_is_a_file_fails_before_any_work(tmp_path, capsys,
     def never(*args, **kwargs):
         raise AssertionError("work started before --out was checked")
 
-    for name in ("make_instance", "load_instance", "_sweep_cell",
+    for name in ("make_instance", "_load_meta", "_sweep_cell",
                  "run_check"):
         monkeypatch.setattr(cli, name, never)
     regular = tmp_path / "regular"
@@ -272,6 +272,20 @@ def test_run_rejects_bad_mu_upper(instance_dir, tmp_path, capsys, value):
     assert "mu_upper" in err
     assert "Traceback" not in err
     assert not (out / "manifest").exists()
+
+
+@pytest.mark.parametrize("flag, name", [("--delta", "delta"),
+                                        ("--mu-upper", "mu_upper")])
+def test_run_refuses_a_bad_flag_before_parsing_a_matrix(
+        instance_dir, tmp_path, capsys, flag, name):
+    (instance_dir / "L.mat").write_text("not a matrix\n")
+    out = tmp_path / "bad"
+    rc = cli.main(["run", "--instance", str(instance_dir), flag, "0.5",
+                   "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {name} must satisfy"), err
+    assert not out.exists()
 
 
 def _rewrite_meta(instance_dir, key, value=None):

@@ -9,7 +9,7 @@ import re
 import numpy as np
 import pytest
 
-from adaptive_mc.lrebn import LrebnConfig, updated_budget
+from adaptive_mc.lrebn import LrebnConfig, angle_increment, updated_budget
 from adaptive_mc.sampling import RngState, sample_uniform_subset
 from adaptive_mc.synthetic import (
     ObservationOracle,
@@ -53,6 +53,8 @@ ENTRY_POINTS = [
      lambda v, ctx: LrebnConfig(**_CFG, r=2, seed=v)),
     ("updated_budget", "m", 1,
      lambda v, ctx: updated_budget(LrebnConfig(**_CFG, r=2), v, 0.0)),
+    ("angle_increment", "k", 1,
+     lambda v, ctx: angle_increment(0.0, 0.5, LrebnConfig(**_CFG, r=2), v)),
     ("run_check kcoh", "trials", 1,
      lambda v, ctx: run_check("kcoh", trials=v, seed=0)),
     ("run_check conc", "trials", 1,
@@ -63,6 +65,36 @@ ENTRY_POINTS = [
      lambda v, ctx: run_check("conc", trials=3, seed=0, d=v)),
     ("check_ks14", "d", 1,
      lambda v, ctx: run_check("ks14", trials=3, seed=0, d=v)),
+    ("check_kcoh", "m", 1,
+     lambda v, ctx: run_check("kcoh", trials=3, seed=0, m=v, r=1, k=1)),
+    ("check_kcoh", "r", 1,
+     lambda v, ctx: run_check("kcoh", trials=3, seed=0, r=v, k=1)),
+    ("check_kcoh", "k", 1,
+     lambda v, ctx: run_check("kcoh", trials=3, seed=0, k=v)),
+    ("check_noisycoh", "m", 2,
+     lambda v, ctx: run_check("noisycoh", trials=3, seed=0, m=v, k=1)),
+    ("check_noisycoh", "k", 1,
+     lambda v, ctx: run_check("noisycoh", trials=3, seed=0, k=v)),
+    ("check_blum", "m", 2,
+     lambda v, ctx: run_check("blum", trials=3, seed=0, m=v, k=2)),
+    ("check_blum", "k", 2,
+     lambda v, ctx: run_check("blum", trials=3, seed=0, k=v)),
+    ("check_conc", "m", 1,
+     lambda v, ctx: run_check("conc", trials=3, seed=0, m=v, k=1)),
+    ("check_conc", "k", 1,
+     lambda v, ctx: run_check("conc", trials=3, seed=0, k=v)),
+    ("check_ks14", "m", 1,
+     lambda v, ctx: run_check("ks14", trials=3, seed=0, m=v, k=1)),
+    ("check_ks14", "k", 1,
+     lambda v, ctx: run_check("ks14", trials=3, seed=0, k=v)),
+    ("check_ind", "k_max", 1,
+     lambda v, ctx: run_check("ind", trials=3, seed=0, k_max=v)),
+    ("check_matcher", "n_dim", 1,
+     lambda v, ctx: run_check("matcher", trials=3, seed=0, n_dim=v, r=1)),
+    ("check_matcher", "r", 1,
+     lambda v, ctx: run_check("matcher", trials=3, seed=0, r=v)),
+    ("check_matcher", "num_draws", 1,
+     lambda v, ctx: run_check("matcher", trials=3, seed=0, num_draws=v)),
     ("ObservationOracle.entries", "j", 0,
      lambda v, ctx: ctx["oracle"].entries([0, 1], v)),
     ("ObservationOracle.entry", "j", 0,

@@ -27,9 +27,13 @@ Each line is a label and the first 16 hex digits of a SHA-256:
   to the reader can be diffed the same way.
 * ``run``: one ``run_lrebn`` call per row-pattern redraw mode on a
   2000x60 instance where every budget stays below m, so the run reads
-  sub-sampled columns (the CLI's 40x30 run clamps every budget to m):
-  the repr of its ``column_records`` and ``budget_trace``, the bytes of
-  its ``coefs`` and its ``observations``.
+  sub-sampled columns (the CLI's 40x30 run clamps every budget to m),
+  and one per ``LrebnConfig`` flag at its non-default value on the same
+  instance: the repr of its ``column_records`` and ``budget_trace``, the
+  bytes of its ``coefs`` and its ``observations``.  With ``estimate_mu``
+  the refreshed budgets clamp to m; at this setting neither clamp that
+  ``budget_cap_to_m`` and ``angle_cap_enabled`` switch off binds, so
+  those two lines show only that the flags are read alike.
 
 The digests of ``L`` depend on the BLAS build, so compare two trees on
 one machine; the script is not a test.
@@ -141,6 +145,13 @@ def main():
         if max(ev.d_drawn for ev in result.budget_trace) >= 2000:
             raise SystemExit(f"{redraw} run clamped a budget to m")
         print(f"run 2000x60 r=2 eps=0.01 delta=0.09 seed=4 {redraw}: "
+              f"{digest(run_bytes(result))}")
+    for flag, value in (("estimate_mu", True), ("budget_cap_to_m", False),
+                        ("angle_cap_enabled", False)):
+        cfg = LrebnConfig(epsilon=0.01, delta=0.09, r=2, mu_upper=1.0,
+                          seed=4, **{flag: value})
+        result = run_lrebn(ObservationOracle(inst.M), cfg)
+        print(f"run 2000x60 r=2 eps=0.01 delta=0.09 seed=4 {flag}={value}: "
               f"{digest(run_bytes(result))}")
 
     with tempfile.TemporaryDirectory() as tmp:
