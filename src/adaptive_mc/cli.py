@@ -140,7 +140,6 @@ def _write_manifest(path, cfg):
     fields = [("epsilon", cfg.epsilon), ("delta", cfg.delta), ("r", cfg.r),
               ("mu_upper", cfg.mu_upper), ("seed", cfg.seed),
               ("budget_cap_to_m", cfg.budget_cap_to_m),
-              ("angle_cap_enabled", cfg.angle_cap_enabled),
               ("estimate_mu", cfg.estimate_mu),
               ("omega_redraw_policy", cfg.omega_redraw)]
     _write_text(path, "".join(f"{key}={_fmt(value)}\n"
@@ -269,7 +268,6 @@ def cmd_verify(args):
 # ---------------------------------------------------------------------------
 
 def _add_ablation_flags(p):
-    p.add_argument("--no-angle-cap", dest="no_angle_cap", action="store_true")
     p.add_argument("--no-budget-cap", dest="no_budget_cap",
                    action="store_true")
     p.add_argument("--omega-redraw", dest="omega_redraw",
@@ -279,7 +277,6 @@ def _add_ablation_flags(p):
 def _ablation_settings(args):
     """The ``LrebnConfig`` fields set by ``_add_ablation_flags``."""
     return dict(budget_cap_to_m=not args.no_budget_cap,
-                angle_cap_enabled=not args.no_angle_cap,
                 omega_redraw=args.omega_redraw)
 
 

@@ -5,8 +5,9 @@ This module contains the small set of operations the completion algorithm
 and the verification suite are built from:
 
 extend_basis / orthonormalize
-    append one vector's new direction to a basis (one double Gram-Schmidt
-    step); fold that over a list of vectors to build a basis
+    append the new directions of some vectors to a basis (double
+    Gram-Schmidt, one pass over the vectors); build a basis by extending
+    the trivial subspace
 project
     orthogonal projection of a vector onto a subspace
 RestrictedSolver
@@ -138,39 +139,45 @@ def _as_vector(y, expected_len, name="vector"):
     return y
 
 
-def extend_basis(basis, v):
-    """Append the direction ``v`` adds to ``basis``.
+def extend_basis(basis, *vectors):
+    """Append the directions ``vectors`` add to ``basis``, in order.
 
-    The residual of ``v`` is projected off the existing columns twice (one
+    Each vector's residual is projected off the columns so far twice (one
     pass loses orthogonality in double precision once a couple dozen
-    directions accumulate); the existing columns are kept unchanged.
+    directions accumulate) and, when its norm exceeds ``DEFAULT_RANK_TOL``,
+    appended normalized; a vector at or below it adds no dimension.  The
+    existing columns are kept unchanged, and the result is checked once.
+    Extending by several vectors at once gives, bit for bit, the basis
+    that extending by one at a time gives.
 
     Returns
     -------
     OrthonormalBasis
-        ``basis`` itself when the residual of ``v`` has norm at most
-        ``DEFAULT_RANK_TOL`` (no new dimension); otherwise a basis with
-        one more column, the normalized residual.
+        ``basis`` itself when no vector adds a dimension; otherwise a
+        basis with one more column per vector that does.
     """
-    w = _as_vector(v, basis.ambient_dim).copy()
     # Contiguous copies of the columns: a strided dot product can round
     # differently, and the bits pinned in the tests were made this way.
     columns = list(basis.matrix.T.copy())
-    for _ in range(2):
-        for u in columns:
-            w -= (u @ w) * u
-    nrm = np.linalg.norm(w)
-    if nrm > DEFAULT_RANK_TOL:
-        return OrthonormalBasis(np.column_stack(columns + [w / nrm]))
-    return basis
+    for v in vectors:
+        w = _as_vector(v, basis.ambient_dim).copy()
+        for _ in range(2):
+            for u in columns:
+                w -= (u @ w) * u
+        nrm = np.linalg.norm(w)
+        if nrm > DEFAULT_RANK_TOL:
+            columns.append(w / nrm)
+    if len(columns) == basis.dim:
+        return basis
+    return OrthonormalBasis(np.column_stack(columns))
 
 
 def orthonormalize(vectors):
     """Orthonormal basis for the span of the given vectors.
 
-    Folds ``extend_basis`` over the vectors in order, starting from the
-    trivial subspace, so a vector that adds no dimension is dropped and
-    extending a basis one vector at a time gives this basis bit for bit.
+    ``extend_basis`` of the trivial subspace by the vectors in order, so
+    a vector that adds no dimension is dropped and extending a basis one
+    vector at a time gives this basis bit for bit.
 
     Parameters
     ----------
@@ -193,10 +200,7 @@ def orthonormalize(vectors):
         )
     if vecs[0].ndim != 1:
         raise ValueError("vector must be 1-dimensional")
-    basis = OrthonormalBasis.empty(vecs[0].shape[0])
-    for v in vecs:
-        basis = extend_basis(basis, v)
-    return basis
+    return extend_basis(OrthonormalBasis.empty(vecs[0].shape[0]), *vecs)
 
 
 def project(basis, y):
@@ -224,7 +228,10 @@ class RestrictedSolver:
     the largest are truncated: the rank rule and the minimum-norm solution
     of ``np.linalg.lstsq`` with that ``rcond``.  Every later fit is two
     matrix-vector products.  ``B_omega`` is kept column-major, the layout
-    in which the residual's product ``B_omega coef`` is fastest.
+    in which the residual's product ``B_omega coef`` is fastest.  A
+    0-dimensional basis takes the same path: its SVD is empty, so the rank
+    is 0 and the pseudo-inverse the (0, d) zero matrix, and every fit
+    returns no coefficients and the sampled column's norm.
 
     Attributes
     ----------
@@ -242,13 +249,9 @@ class RestrictedSolver:
     def __init__(self, basis, omega):
         self.omega = _check_index_set(omega, basis.ambient_dim)
         a = basis.matrix[self.omega, :]
-        if basis.dim == 0:
-            rank = 0
-            pinv = np.zeros((0, self.omega.size))
-        else:
-            u, s, vt = np.linalg.svd(a, full_matrices=False)
-            rank = int(np.count_nonzero(s > LSTSQ_RCOND * s[0]))
-            pinv = (vt[:rank].T / s[:rank]) @ u[:, :rank].T
+        u, s, vt = np.linalg.svd(a, full_matrices=False)
+        rank = int(np.count_nonzero(s > LSTSQ_RCOND * s.max(initial=0.0)))
+        pinv = (vt[:rank].T / s[:rank]) @ u[:, :rank].T
         self._restricted = np.asfortranarray(a)
         self._pinv = pinv
         self.degenerate = rank < basis.dim

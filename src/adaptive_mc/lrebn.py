@@ -37,8 +37,9 @@ its clean counterpart, ``arcsin(min(1, eps / (1 - eps)))`` (the clean
 column is unobservable; the noise model bounds the sine), and the
 denominator is the new column's angle to the previous estimated subspace
 floored at ``sqrt(k * eps)``.  The estimate is capped at
-``(3 pi / 2) * sqrt(k * eps)``, which the analysis shows the true
-quantity respects, and at pi/2 always.
+``(3 pi / 2) * sqrt(k * eps)`` and at pi/2.  For every eps < 1/4 the
+recursion's own steps keep it below 0.91 of the first cap (the proof is
+in ``angle_increment``), so in a run only the pi/2 clamp can bind.
 """
 
 from __future__ import annotations
@@ -123,9 +124,6 @@ class LrebnConfig:
         Clamp budgets to m (default).  With the cap off the budget
         formula value is used in the threshold as-is, while draws are
         still physically limited to m rows.
-    angle_cap_enabled : bool
-        Apply the (3 pi / 2) sqrt(k eps) cap to theta_tilde (default).
-        The pi/2 clamp always applies.
     estimate_mu : bool
         Replace mu_upper at every budget refresh with the heuristic
         ``max(1, 2 * coherence(current basis) * k / r)``.  Clearly a
@@ -144,7 +142,6 @@ class LrebnConfig:
     r: int
     mu_upper: float = 1.0
     budget_cap_to_m: bool = True
-    angle_cap_enabled: bool = True
     estimate_mu: bool = False
     omega_redraw: str = REDRAW_ON_UPDATE
     seed: int = 0
@@ -164,7 +161,7 @@ class LrebnConfig:
         store("seed", _check_int("seed", self.seed, 0))
         store("omega_redraw", _check_mode("omega_redraw", self.omega_redraw,
                                           _OMEGA_REDRAWS))
-        for name in ("budget_cap_to_m", "angle_cap_enabled", "estimate_mu"):
+        for name in ("budget_cap_to_m", "estimate_mu"):
             flag = getattr(self, name)
             if not isinstance(flag, (bool, np.bool_)):
                 raise ValueError(f"{name} must be a bool; got {flag!r}")
@@ -335,7 +332,22 @@ def angle_increment(theta_tilde_prev, theta_new_col, cfg, k):
     -------
     float
         New theta_tilde; non-decreasing in k, capped at
-        ``(3 pi / 2) sqrt(k epsilon)`` when enabled and at pi/2 always.
+        ``(3 pi / 2) sqrt(k epsilon)`` and at pi/2.
+
+    Notes
+    -----
+    Starting from theta_0 = 0, the recursion alone stays below the first
+    cap for every epsilon < 1/4.  The denominator is floored at
+    ``sqrt(i epsilon)``, so step i is at most
+    ``(pi/2) asin(eps / (1 - eps)) / sqrt(i eps)``; the sum of
+    ``i**(-1/2)`` over i <= k is below ``2 sqrt(k)``; so
+
+        theta_k < pi (asin(eps / (1 - eps)) / eps) sqrt(k eps)
+                <= 1.36 pi sqrt(k eps) < (3 pi / 2) sqrt(k eps),
+
+    since ``asin(eps / (1 - eps)) / eps`` grows with eps and is 1.359 at
+    eps = 1/4.  The cap therefore binds only for a ``theta_tilde_prev``
+    that no run produces.
     """
     _check_int("k", k)
     eps = cfg.epsilon
@@ -350,9 +362,7 @@ def angle_increment(theta_tilde_prev, theta_new_col, cfg, k):
     numerator = math.asin(min(1.0, eps / (1.0 - eps)))
     denominator = max(theta_new_col - theta_tilde_prev, math.sqrt(k * eps))
     result = theta_tilde_prev + (math.pi / 2.0) * numerator / denominator
-    if cfg.angle_cap_enabled:
-        result = min(result, 1.5 * math.pi * math.sqrt(k * eps))
-    return min(result, math.pi / 2)
+    return min(result, 1.5 * math.pi * math.sqrt(k * eps), math.pi / 2)
 
 
 def theorem_error_bound(m, d, k, epsilon, theta_tilde):
@@ -361,11 +371,11 @@ def theorem_error_bound(m, d, k, epsilon, theta_tilde):
     ``(m/d) eps + (m/d + 1) (sqrt(24) theta + sqrt(8 k eps)) (1 + eps)``
     bounds the distance between a reconstructed column and its clean
     counterpart, at the (d, k, theta_tilde) in force when the column was
-    reconstructed.
+    reconstructed.  ``m`` and ``d`` are positive integers and ``k`` a
+    non-negative one by ``sampling._check_int``.
     """
-    if d < 1:
-        raise ValueError("d must be >= 1")
-    ratio = m / d
+    ratio = _check_int("m", m) / _check_int("d", d)
+    _check_int("k", k, 0)
     return ratio * epsilon + (ratio + 1.0) * (
         math.sqrt(24.0) * theta_tilde + math.sqrt(8.0 * k * epsilon)
     ) * (1.0 + epsilon)

@@ -237,13 +237,14 @@ def _restricted_residuals(basis, y, mask):
     Zeroing the unsampled rows changes neither the singular values of
     ``B_omega`` nor the residual, so omegas of different sizes share one
     batched SVD.  Singular values at or below ``LSTSQ_RCOND`` times the
-    largest are dropped: the rank rule of ``RestrictedSolver``.
+    largest are dropped: the rank rule of ``RestrictedSolver``.  An empty
+    stack, or a stack of 0-dimensional bases, needs no branch: its SVD
+    is empty and the projection is zero.
     """
     y = y * mask
-    if basis.shape[2] == 0 or len(y) == 0:
-        return np.linalg.norm(y, axis=1)
     u, s, _ = np.linalg.svd(basis * mask[:, :, None], full_matrices=False)
-    u *= (s > LSTSQ_RCOND * s[:, :1])[:, None, :]
+    keep = s > LSTSQ_RCOND * s.max(axis=1, initial=0.0, keepdims=True)
+    u *= keep[:, None, :]
     return np.linalg.norm(y - project(u, y), axis=1)
 
 
@@ -352,8 +353,12 @@ def check_ededler(m_values, r_values, delta_values, theta_values=None):
     9 ln(1/delta) < m.  The mu terms cancel exactly, so mu = 1 is used;
     theta = 0 gives equality, which the tolerance admits.  Grid points
     breaking the side condition are skipped and counted.  Each of
-    ``delta_values`` is a real number in (0, 1) by ``_check_real``.
+    ``m_values`` and ``r_values`` is a positive integer by ``_check_int``
+    and each of ``delta_values`` a real number in (0, 1) by
+    ``_check_real``.
     """
+    m_values = [_check_int("m", m) for m in m_values]
+    r_values = [_check_int("r", r) for r in r_values]
     delta_values = [_check_real("delta", delta, 0.0, 1.0, "()")
                     for delta in delta_values]
     if theta_values is None:
@@ -375,8 +380,8 @@ def check_ededler(m_values, r_values, delta_values, theta_values=None):
     tally = _Tally("ededler", len(margins), None)
     tally.add(np.array(margins))
     return tally.report({
-        "m_values": list(m_values), "r_values": list(r_values),
-        "delta_values": list(delta_values),
+        "m_values": m_values, "r_values": r_values,
+        "delta_values": delta_values,
         "theta_points": len(theta_values), "skipped_cells": skipped,
     })
 
@@ -646,10 +651,8 @@ def check_matcher(n_dim, r, L_bound, epsilon_chern, trials, rng, num_draws=200):
     l_eff = max_row * scale
     mu_r = num_draws * scale / n_dim
     ratio = mu_r / l_eff
-    if eps == 0.0:
-        tail = float(r)
-    else:
-        tail = r * math.exp(ratio * (-eps - (1.0 - eps) * math.log1p(-eps)))
+    # At eps = 0 the exponent is 0.0 and the tail is exactly float(r).
+    tail = r * math.exp(ratio * (-eps - (1.0 - eps) * math.log1p(-eps)))
     cutoff = (1.0 - eps) * mu_r
 
     for chunk in _chunks(1, trials + 1, num_draws * r):

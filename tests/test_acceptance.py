@@ -18,6 +18,7 @@ from adaptive_mc import cli
 from adaptive_mc.linalg import coherence
 from adaptive_mc.lrebn import (
     LrebnConfig,
+    angle_increment,
     initial_budget,
     recovery_errors,
     run_lrebn,
@@ -218,11 +219,23 @@ def test_criterion_5_angle_cap(noiseless_batch, noisy_batch):
                     cap_excesses += 1
     extremal = run_check("ind", trials=1, seed=0,
                          k_max=10_000, epsilon=0.01)
-    ok = cap_excesses == 0 and extremal.violations == 0
+    # angle_increment itself with every new column at the denominator
+    # floor (angle theta_prev, or a tiny one at k = 1), the largest step,
+    # until pi/2 or k = 10^4: theta_tilde stays clear of its cap.
+    worst = 0.0
+    for eps in (1e-6, 1e-3, 0.05, 0.2, 0.2499):
+        cfg = LrebnConfig(epsilon=eps, delta=0.05, r=1)
+        theta, k = 0.0, 0
+        while theta < math.pi / 2 and k < 10_000:
+            k += 1
+            theta = angle_increment(theta, theta or 1e-12, cfg, k)
+            worst = max(worst, theta / (1.5 * math.pi * math.sqrt(k * eps)))
+    ok = cap_excesses == 0 and extremal.violations == 0 and worst < 0.91
     _report(5, ok,
             f"{checked} trace entries respect the angle cap "
             f"({cap_excesses} excesses); extremal recursion to k=10^4: "
-            f"{extremal.violations} violations")
+            f"{extremal.violations} violations; extremal angle_increment "
+            f"runs: largest theta/cap {worst:.3f} (< 0.91)")
 
 
 def test_criterion_6_deterministic_lemma_suite():

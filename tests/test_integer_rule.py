@@ -9,7 +9,8 @@ import re
 import numpy as np
 import pytest
 
-from adaptive_mc.lrebn import LrebnConfig, angle_increment, updated_budget
+from adaptive_mc.lrebn import (LrebnConfig, angle_increment,
+                               theorem_error_bound, updated_budget)
 from adaptive_mc.sampling import RngState, sample_uniform_subset
 from adaptive_mc.synthetic import (
     ObservationOracle,
@@ -55,6 +56,12 @@ ENTRY_POINTS = [
      lambda v, ctx: updated_budget(LrebnConfig(**_CFG, r=2), v, 0.0)),
     ("angle_increment", "k", 1,
      lambda v, ctx: angle_increment(0.0, 0.5, LrebnConfig(**_CFG, r=2), v)),
+    ("theorem_error_bound", "m", 1,
+     lambda v, ctx: theorem_error_bound(v, 1, 1, 0.01, 0.1)),
+    ("theorem_error_bound", "d", 1,
+     lambda v, ctx: theorem_error_bound(100, v, 1, 0.01, 0.1)),
+    ("theorem_error_bound", "k", 0,
+     lambda v, ctx: theorem_error_bound(100, 10, v, 0.01, 0.1)),
     ("run_check kcoh", "trials", 1,
      lambda v, ctx: run_check("kcoh", trials=v, seed=0)),
     ("run_check conc", "trials", 1,
@@ -95,6 +102,10 @@ ENTRY_POINTS = [
      lambda v, ctx: run_check("matcher", trials=3, seed=0, r=v)),
     ("check_matcher", "num_draws", 1,
      lambda v, ctx: run_check("matcher", trials=3, seed=0, num_draws=v)),
+    ("check_ededler", "m", 1,
+     lambda v, ctx: run_check("ededler", m_values=(40, v))),
+    ("check_ededler", "r", 1,
+     lambda v, ctx: run_check("ededler", r_values=(1, v))),
     ("ObservationOracle.entries", "j", 0,
      lambda v, ctx: ctx["oracle"].entries([0, 1], v)),
     ("ObservationOracle.entry", "j", 0,

@@ -174,15 +174,11 @@ def test_angle_increment_cap_binds():
     cfg = cfg_for(epsilon=0.005)
     capped = angle_increment(0.4, 0.5, cfg, 1)
     assert capped == pytest.approx(1.5 * math.pi * math.sqrt(0.005), abs=1e-12)
-    uncapped = angle_increment(
-        0.4, 0.5, cfg_for(epsilon=0.005, angle_cap_enabled=False), 1
-    )
-    assert uncapped > capped
-    assert uncapped <= math.pi / 2
 
 
 def test_angle_increment_never_exceeds_right_angle():
-    cfg = cfg_for(epsilon=0.2, r=1, angle_cap_enabled=False)
+    # The first cap is (3 pi / 2) sqrt(0.2) = 2.107 here, above pi/2.
+    cfg = cfg_for(epsilon=0.2, r=1)
     got = angle_increment(1.5, 1.501, cfg, 1)
     assert got == pytest.approx(math.pi / 2)
 

@@ -52,8 +52,6 @@ ENTRY_POINTS = [
      lambda v, ctx: _config(mu_upper=v)),
     ("LrebnConfig", "budget_cap_to_m", "flag", False, (),
      lambda v, ctx: _config(budget_cap_to_m=v)),
-    ("LrebnConfig", "angle_cap_enabled", "flag", False, (),
-     lambda v, ctx: _config(angle_cap_enabled=v)),
     ("LrebnConfig", "estimate_mu", "flag", True, (),
      lambda v, ctx: _config(estimate_mu=v)),
     ("LrebnConfig", "omega_redraw", "mode", "per-column", (),
@@ -164,14 +162,13 @@ def test_config_holds_what_each_check_returns():
     cfg = LrebnConfig(epsilon=np.float32(0.01), delta=np.float64(0.05),
                       r=np.int64(2), mu_upper=np.int32(2),
                       budget_cap_to_m=np.bool_(False),
-                      angle_cap_enabled=np.bool_(True),
                       estimate_mu=np.bool_(False),
                       omega_redraw=np.str_("per-column"), seed=np.uint16(3))
     assert {f.name: type(getattr(cfg, f.name))
             for f in dataclasses.fields(cfg)} == {
         "epsilon": float, "delta": float, "r": int, "mu_upper": float,
-        "budget_cap_to_m": bool, "angle_cap_enabled": bool,
-        "estimate_mu": bool, "omega_redraw": str, "seed": int}
+        "budget_cap_to_m": bool, "estimate_mu": bool,
+        "omega_redraw": str, "seed": int}
     assert cfg.epsilon == float(np.float32(0.01))
     assert (cfg.mu_upper, cfg.budget_cap_to_m) == (2.0, False)
 

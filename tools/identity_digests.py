@@ -13,9 +13,13 @@ Each line is a label and the first 16 hex digits of a SHA-256:
   ``zero-noise``: ``add_bounded_noise`` with epsilon = 0 on an ``L``
   holding ``-0.0`` entries.
 * ``report``: each ``verify.run_check`` report at default trials for
-  seeds 0, 1 and 7, and the conc report at d = 40 for the same seeds.
-  conc's default budget clamps to d = m = 200, where every row is
-  sampled, so only a sub-sampled d shows which rows a trial reads.
+  seeds 0, 1 and 7, and for the same seeds the reports of a few
+  overrides.  conc at d = 40: its default budget clamps to d = m = 200,
+  where every row is sampled, so only a sub-sampled d shows which rows a
+  trial reads.  conc at k = 1 (default d and d = 40), which fits against
+  0-dimensional bases; matcher at epsilon_chern = 0, where the tail
+  bound is r; ks14 at d = 1, where no trial is applicable, so every
+  chunk fits an empty stack.
 * ``cli``: each file the CLI writes for a fixed ``generate``, ``run``,
   ``sweep`` and ``verify``, the reruns that must stay byte-identical.
 * ``file``: the ``write_matrix`` bytes of an edge matrix (signed zeros,
@@ -28,12 +32,12 @@ Each line is a label and the first 16 hex digits of a SHA-256:
 * ``run``: one ``run_lrebn`` call per row-pattern redraw mode on a
   2000x60 instance where every budget stays below m, so the run reads
   sub-sampled columns (the CLI's 40x30 run clamps every budget to m),
-  and one per ``LrebnConfig`` flag at its non-default value on the same
-  instance: the repr of its ``column_records`` and ``budget_trace``, the
-  bytes of its ``coefs`` and its ``observations``.  With ``estimate_mu``
-  the refreshed budgets clamp to m; at this setting neither clamp that
-  ``budget_cap_to_m`` and ``angle_cap_enabled`` switch off binds, so
-  those two lines show only that the flags are read alike.
+  and one with ``estimate_mu`` on the same instance, where the refreshed
+  budgets clamp to m: the repr of its ``column_records`` and
+  ``budget_trace``, the bytes of its ``coefs`` and its ``observations``.
+  Then a 200x60 instance where every budget formula exceeds m, run with
+  and without ``budget_cap_to_m``: the two lines differ, because the
+  uncapped run's thresholds use the formula's value.
 
 The digests of ``L`` depend on the BLAS build, so compare two trees on
 one machine; the script is not a test.
@@ -133,9 +137,15 @@ def main():
         print(f"report seed={seed}: " + ", ".join(
             f"{name} {digest(report_bytes(run_check(name, seed=seed)))}"
             for name in CHECK_NAMES))
-    for seed in (0, 1, 7):
-        rep = run_check("conc", seed=seed, d=40)
-        print(f"report conc d=40 seed={seed}: {digest(report_bytes(rep))}")
+    for label, name, overrides in (
+            ("conc d=40", "conc", dict(d=40)),
+            ("conc k=1", "conc", dict(k=1)),
+            ("conc k=1 d=40", "conc", dict(k=1, d=40)),
+            ("matcher epsilon_chern=0", "matcher", dict(epsilon_chern=0.0)),
+            ("ks14 d=1", "ks14", dict(d=1))):
+        for seed in (0, 1, 7):
+            rep = run_check(name, seed=seed, **overrides)
+            print(f"report {label} seed={seed}: {digest(report_bytes(rep))}")
 
     inst = make_instance(2000, 60, 2, 0.01, 4)
     for redraw in ("on-update", "per-column"):
@@ -146,13 +156,21 @@ def main():
             raise SystemExit(f"{redraw} run clamped a budget to m")
         print(f"run 2000x60 r=2 eps=0.01 delta=0.09 seed=4 {redraw}: "
               f"{digest(run_bytes(result))}")
-    for flag, value in (("estimate_mu", True), ("budget_cap_to_m", False),
-                        ("angle_cap_enabled", False)):
+    cfg = LrebnConfig(epsilon=0.01, delta=0.09, r=2, mu_upper=1.0, seed=4,
+                      estimate_mu=True)
+    result = run_lrebn(ObservationOracle(inst.M), cfg)
+    print("run 2000x60 r=2 eps=0.01 delta=0.09 seed=4 estimate_mu=True: "
+          f"{digest(run_bytes(result))}")
+
+    inst = make_instance(200, 60, 2, 0.01, 4)
+    for cap in (True, False):
         cfg = LrebnConfig(epsilon=0.01, delta=0.09, r=2, mu_upper=1.0,
-                          seed=4, **{flag: value})
+                          seed=4, budget_cap_to_m=cap)
         result = run_lrebn(ObservationOracle(inst.M), cfg)
-        print(f"run 2000x60 r=2 eps=0.01 delta=0.09 seed=4 {flag}={value}: "
-              f"{digest(run_bytes(result))}")
+        if min(ev.d_formula for ev in result.budget_trace) <= 200:
+            raise SystemExit("a 200x60 budget stayed within m")
+        print(f"run 200x60 r=2 eps=0.01 delta=0.09 seed=4 "
+              f"budget_cap_to_m={cap}: {digest(run_bytes(result))}")
 
     with tempfile.TemporaryDirectory() as tmp:
         stdout = sys.stdout
