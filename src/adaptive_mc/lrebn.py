@@ -321,9 +321,10 @@ def angle_increment(theta_tilde_prev, theta_new_col, cfg, k):
 
     Parameters
     ----------
-    theta_new_col : float
-        Angle between the newly observed column and the previous
-        estimated subspace.
+    theta_tilde_prev, theta_new_col : float
+        The angle bound in force, and the angle between the newly
+        observed column and the previous estimated subspace; each a real
+        number in [0, pi/2] by ``sampling._check_real``.
     k : int
         Dimension after adding the column; an integer of at least 1 by
         ``sampling._check_int``.
@@ -350,10 +351,14 @@ def angle_increment(theta_tilde_prev, theta_new_col, cfg, k):
     that no run produces.
     """
     _check_int("k", k)
+    theta_tilde_prev = _check_real("theta_tilde_prev", theta_tilde_prev,
+                                   0.0, math.pi / 2)
+    theta_new_col = _check_real("theta_new_col", theta_new_col,
+                                0.0, math.pi / 2)
     eps = cfg.epsilon
     if eps == 0.0:
         # Numerator vanishes; the estimate stays wherever it is (0).
-        return min(theta_tilde_prev, math.pi / 2)
+        return theta_tilde_prev
     if theta_new_col <= 0.0:
         raise RuntimeError(
             "accepted column lies in the previous span (angle 0) while "
@@ -372,10 +377,16 @@ def theorem_error_bound(m, d, k, epsilon, theta_tilde):
     bounds the distance between a reconstructed column and its clean
     counterpart, at the (d, k, theta_tilde) in force when the column was
     reconstructed.  ``m`` and ``d`` are positive integers and ``k`` a
-    non-negative one by ``sampling._check_int``.
+    non-negative one by ``sampling._check_int``; ``epsilon`` lies in the
+    model's [0, 1/4) by ``synthetic._check_epsilon`` and ``theta_tilde``
+    in [0, pi/2] by ``sampling._check_real``, with the 1e-12 of slack
+    that ``updated_budget`` gives it.
     """
     ratio = _check_int("m", m) / _check_int("d", d)
     _check_int("k", k, 0)
+    epsilon = _check_epsilon(epsilon)
+    theta_tilde = _check_real("theta_tilde", theta_tilde, 0.0,
+                              math.pi / 2 + 1e-12)
     return ratio * epsilon + (ratio + 1.0) * (
         math.sqrt(24.0) * theta_tilde + math.sqrt(8.0 * k * epsilon)
     ) * (1.0 + epsilon)

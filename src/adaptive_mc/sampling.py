@@ -7,7 +7,11 @@ Generators are Philox4x64 counter-based bit generators keyed through
 ``numpy.random.SeedSequence(entropy=seed, spawn_key=stream)``, so a given
 (seed, stream) pair yields the identical sequence on every run and
 platform.  Parallel consumers never share a generator; each derives its
-own substream from the root seed.
+own substream from the root seed.  ``_philox_keys`` hashes the keys of a
+whole array of substreams ``(*stream, t)`` in one numpy pass, bit for bit
+the keys SeedSequence gives, so a consumer with many short substreams
+(the lemma suite's trials) re-keys one Philox instead of building a
+SeedSequence, a Philox and a Generator for each.
 
 One rule per kind of parameter a caller passes in, each raising
 ``ValueError`` naming the parameter and converting nothing it refuses:
@@ -74,6 +78,78 @@ class RngState:
 
     def __repr__(self):
         return f"RngState(seed={self.seed}, stream={self.stream})"
+
+
+# The constants of numpy's SeedSequence hash, over 32-bit words.
+_M32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+
+
+def _words(value):
+    """The little-endian 32-bit words of a non-negative int ([0] for 0)."""
+    words = [value & _M32]
+    while value := value >> 32:
+        words.append(value & _M32)
+    return words
+
+
+def _hasher(hc, mult):
+    """SeedSequence's word hash, whose constant ``hc`` advances by ``mult``
+    at every call."""
+    def hash_word(v):
+        nonlocal hc
+        v = v ^ hc
+        hc = hc * mult & _M32
+        v = v * hc & _M32
+        return v ^ v >> 16
+    return hash_word
+
+
+def _mix(x, y):
+    r = (x * _MIX_L - y * _MIX_R) & _M32
+    return r ^ r >> 16
+
+
+def _philox_keys(state, indices):
+    """Philox keys of the substreams ``state.substream(t)`` for a 1-D
+    array of indices t below 2**64, as a (len(indices), 2) uint64 array.
+
+    Row i is bit for bit ``SeedSequence(entropy=state.seed,
+    spawn_key=(*state.stream, t)).generate_state(2, np.uint64)``, the key
+    that ``state.substream(t).generator()`` runs on.  This is numpy's
+    SeedSequence hash, with each 32-bit word held in a Python int or a
+    uint64 array and masked.  The words are the seed's, padded with zeros
+    to 4, then each label's and the index's.  The first 4 seed a pool of
+    4, which is cross-mixed; each later word is hashed and mixed into
+    every pool word; the hashed pool is the key.  Only the index's word
+    (two words from 2**32 on) differs between trials, so the words before
+    it are hashed once, as ints.
+    """
+    hashmix = _hasher(_INIT_A, _MULT_A)
+
+    def absorb(pool, word):
+        return [_mix(p, hashmix(word)) for p in pool]
+
+    words = _words(state.seed)
+    words += [0] * (4 - len(words)) + [w for s in state.stream
+                                       for w in _words(s)]
+    pool = [hashmix(w) for w in words[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for w in words[4:]:
+        pool = absorb(pool, w)
+    indices = np.asarray(indices, dtype=np.uint64)
+    pool = absorb(pool, indices & _M32)
+    high = indices >> 32
+    if high.any():
+        pool = [np.where(high > 0, two, one)
+                for one, two in zip(pool, absorb(pool, high))]
+    a, b, c, d = map(_hasher(_INIT_B, _MULT_B), pool)
+    return np.stack([a | b << 32, c | d << 32], axis=1)
 
 
 def as_generator(rng):

@@ -16,10 +16,16 @@ level), whose Python float the check then uses.  A bool, a float size, a
 str, None, a complex number or NaN raises ``ValueError`` naming the
 parameter.
 
-Every report is reproducible bit for bit from (name, params, seed).  A
-check states its per-trial draw as ``draw(gen, t)``, a tuple of arrays
-from trial t's own generator; ``_draws`` stacks a chunk of trials, so the
-chunk size bounds memory and changes no draw.  The linear algebra runs
+Every report is reproducible bit for bit from (name, params, seed).
+Trial t of a check draws from its own Philox substream, ``(*stream, t)``
+below the check's root stream.  ``_TrialStreams`` keys a check's trials
+in one vectorized pass of ``sampling._philox_keys`` and re-keys a single
+Philox per trial (counter 0, the trial's key, an empty buffer), the state
+a fresh ``RngState(seed, *stream, t).generator()`` starts in, so no trial
+builds a SeedSequence or a generator of its own.  A check states its
+per-trial draw as ``draw(gen, t)``, a tuple of arrays from trial t's
+generator; ``_TrialStreams.draws`` stacks a chunk of trials, so the chunk
+size bounds memory and changes no draw.  The linear algebra runs
 once per stack (QR frames, batched SVDs and eigenvalues), and a
 ``_Tally`` folds the margins into the report.  Coherences, projections
 and angles come from ``linalg``, the rules the completion run itself
@@ -44,7 +50,7 @@ from .linalg import (
     vector_vector_angle,
 )
 from .lrebn import _budget_formula, residual_threshold
-from .sampling import RngState, _check_int, _check_real
+from .sampling import RngState, _check_int, _check_real, _philox_keys
 from .synthetic import _check_epsilon
 
 __all__ = [
@@ -148,18 +154,19 @@ class _Tally:
         )
 
 
-def _start(rng, name, trials, tol=DET_TOL):
-    """Per-check root stream from an RngState or an integer seed, and the
-    check's empty tally.  Every trial-driven check calls this before its
-    first draw, so it also validates ``trials`` and the seed, each by
-    ``_check_int``."""
+def _start(rng, name, trials, tol=DET_TOL, first=0):
+    """The check's trials, numbered from ``first``, on its root stream
+    from an RngState or an integer seed, and its empty tally.  Every
+    trial-driven check calls this before its first draw, so it also
+    validates ``trials`` and the seed, each by ``_check_int``."""
     trials = _check_int("trials", trials)
     stream = _CHECKS[name][0]
     if isinstance(rng, RngState):
         state = rng.substream(stream)
     else:
         state = RngState(rng, stream)
-    return state, _Tally(name, trials, state.seed, tol)
+    return (_TrialStreams(state, first, first + trials),
+            _Tally(name, trials, state.seed, tol))
 
 
 # ---------------------------------------------------------------------------
@@ -174,19 +181,58 @@ def _start(rng, name, trials, tol=DET_TOL):
 _CHUNK_TRIALS = 128
 _CHUNK_BYTES = 250_000
 
-
-def _chunks(first, stop, floats_per_trial):
-    """Consecutive ranges of trial indices covering [first, stop)."""
-    size = max(1, min(_CHUNK_TRIALS, _CHUNK_BYTES // (8 * floats_per_trial)))
-    for lo in range(first, stop, size):
-        yield range(lo, min(lo + size, stop))
+# Trials keyed by one pass of ``_philox_keys``.  A pass costs about
+# 0.1 ms however few trials it keys, so a check keys all its trials at
+# once up to this many, which bounds the memory of a pass.
+_KEY_BLOCK = 4096
 
 
-def _draws(state, chunk, draw):
-    """Stacks of ``draw(gen, t)`` over the trials of ``chunk``, each
-    trial's tuple of arrays drawn from its own substream's generator."""
-    per_trial = [draw(state.substream(t).generator(), t) for t in chunk]
-    return [np.array(column) for column in zip(*per_trial)]
+class _TrialStreams:
+    """The trials [first, stop) of one check; trial t draws from the
+    substream ``state.substream(t)`` of the check's root stream.
+
+    One Philox serves every trial.  ``generator(t)`` sets its counter to
+    0, its key to the one ``sampling._philox_keys`` derives for t and its
+    buffer to empty, with no buffered 32-bit half-word: the state
+    ``state.substream(t).generator()`` starts in, so trial t draws the
+    same bits without a SeedSequence, a Philox and a Generator of its
+    own.  Keys are derived from the first trial asked for that has none
+    yet, for up to ``_KEY_BLOCK`` trials before ``stop``.
+    """
+
+    def __init__(self, state, first, stop):
+        self.state, self.first, self.stop = state, first, stop
+        self._gen = state.generator()
+        self._bitgen = self._gen.bit_generator
+        self._keyed, self._keys = first, []
+        self._philox = {"bit_generator": "Philox",
+                        "state": {"counter": (0, 0, 0, 0), "key": None},
+                        "buffer": (0, 0, 0, 0), "buffer_pos": 4,
+                        "has_uint32": 0, "uinteger": 0}
+
+    def chunks(self, floats_per_trial):
+        """Consecutive ranges of trial indices covering [first, stop)."""
+        size = max(1, min(_CHUNK_TRIALS,
+                          _CHUNK_BYTES // (8 * floats_per_trial)))
+        for lo in range(self.first, self.stop, size):
+            yield range(lo, min(lo + size, self.stop))
+
+    def generator(self, t):
+        """Trial t's generator at the start of its substream; the next
+        call re-keys it."""
+        if not 0 <= t - self._keyed < len(self._keys):
+            self._keyed = t
+            self._keys = _philox_keys(self.state, np.arange(
+                t, min(t + _KEY_BLOCK, self.stop), dtype=np.uint64)).tolist()
+        self._philox["state"]["key"] = self._keys[t - self._keyed]
+        self._bitgen.state = self._philox
+        return self._gen
+
+    def draws(self, chunk, draw):
+        """Stacks of ``draw(gen, t)`` over the trials of ``chunk``, each
+        trial's tuple of arrays drawn from its own substream."""
+        per_trial = [draw(self.generator(t), t) for t in chunk]
+        return [np.array(column) for column in zip(*per_trial)]
 
 
 def _reject(basis, x):
@@ -270,7 +316,7 @@ def check_kcoh(m, r, k, trials, rng):
         raise ValueError("need 1 <= k <= r <= m")
     _check_int("r", r)
     _check_int("k", k)
-    state, tally = _start(rng, "kcoh", trials)
+    streams, tally = _start(rng, "kcoh", trials)
 
     def draw(gen, t):
         raw = gen.standard_normal((m, r))
@@ -279,8 +325,8 @@ def check_kcoh(m, r, k, trials, rng):
             raw[int(gen.integers(m)), 0] = 1.0
         return raw, gen.standard_normal((r, k))
 
-    for chunk in _chunks(0, trials, m * r):
-        raw, coef = _draws(state, chunk, draw)
+    for chunk in streams.chunks(m * r):
+        raw, coef = streams.draws(chunk, draw)
         u = _full_frames(raw)
         sub = _full_frames(u @ coef)
         tally.add(r * coherence(u) - k * coherence(sub))
@@ -297,14 +343,14 @@ def check_noisycoh(m, k, theta_max, trials, rng):
         raise ValueError("need 1 <= k <= m/2 to rotate into the complement")
     _check_int("k", k)
     theta_max = _check_real("theta_max", theta_max, 0.0, math.pi / 2, "()")
-    state, tally = _start(rng, "noisycoh", trials)
+    streams, tally = _start(rng, "noisycoh", trials)
 
     def draw(gen, t):
         return (gen.standard_normal((m, k)), gen.standard_normal((m, k)),
                 gen.uniform(0.0, theta_max, size=k))
 
-    for chunk in _chunks(0, trials, m * k):
-        raw_u, raw_w, angles = _draws(state, chunk, draw)
+    for chunk in streams.chunks(m * k):
+        raw_u, raw_w, angles = streams.draws(chunk, draw)
         u = _full_frames(raw_u)
         tilted, theta = _tilted(u, raw_w, angles)
         tally.add(2.0 * coherence(u) + 2.0 * (m / k) * theta ** 2
@@ -324,19 +370,22 @@ def check_ind(k_max, epsilon, trials, rng=0):
     """
     _check_int("k_max", k_max)
     epsilon = _check_real("epsilon", epsilon, 0.0, ends="()")
-    state, tally = _start(rng, "ind", trials, tol=1e-12)
+    streams, tally = _start(rng, "ind", trials, tol=1e-12)
     ks = np.arange(1, k_max + 1, dtype=float)
     max_steps = (math.pi / 2.0) * np.sqrt(epsilon / ks)
     caps = 1.5 * math.pi * np.sqrt(ks * epsilon)
 
-    def draw(gen, t):
-        return (np.ones(k_max) if t == 0 else gen.uniform(size=k_max),)
-
-    for chunk in _chunks(0, trials, k_max):
-        c, = _draws(state, chunk, draw)
+    for chunk in streams.chunks(k_max):
+        c = np.empty((len(chunk), k_max))
+        for row, t in zip(c, chunk):
+            if t == 0:
+                row.fill(1.0)
+            else:
+                streams.generator(t).random(out=row)
         c *= max_steps
         np.cumsum(c, axis=1, out=c)
-        tally.add(np.min(caps - c, axis=1))
+        np.subtract(caps, c, out=c)
+        tally.add(c.min(axis=1))
     return tally.report(
         {"k_max": k_max, "epsilon": epsilon, "extremal_first": True})
 
@@ -400,7 +449,7 @@ def check_blum(m, k, trials, rng):
     if not 2 <= k <= _check_int("m", m):
         raise ValueError("need 2 <= k <= m")
     _check_int("k", k)
-    state, tally = _start(rng, "blum", trials)
+    streams, tally = _start(rng, "blum", trials)
 
     def draw(gen, t):
         raw_u = gen.standard_normal((m, k - 1))
@@ -408,8 +457,8 @@ def check_blum(m, k, trials, rng):
         scale = 10.0 ** gen.uniform(-4.0, 0.5) if t % 3 == 0 else 0.0
         return raw_u, b, scale, gen.standard_normal(m)
 
-    for chunk in _chunks(0, trials, m * k):
-        raw_u, b, scale, noise = _draws(state, chunk, draw)
+    for chunk in streams.chunks(m * k):
+        raw_u, b, scale, noise = streams.draws(chunk, draw)
         u = _full_frames(raw_u)
         b /= np.linalg.norm(b, axis=1, keepdims=True)
         style = np.arange(chunk.start, chunk.stop) % 3
@@ -465,13 +514,13 @@ def check_conc(m, k, d, epsilon, delta, trials, rng):
     _check_int("k", k)
     epsilon = _check_epsilon(epsilon)
     delta = _check_real("delta", delta, 0.0, 1.0, "()")
-    state, tally = _start(rng, "conc", trials)
     sqrt_keps = math.sqrt(k * epsilon)
     if d is None:
         d = min(m, _budget_formula(1.0, k, delta, m, sqrt_keps))
     if not 1 <= d <= m:
         raise ValueError("need 1 <= d <= m")
     d = _check_int("d", d)
+    streams, tally = _start(rng, "conc", trials)
     spread = min(math.pi / 4, 1.5 * math.pi * math.sqrt((k - 1) * epsilon))
 
     def draw(gen, t):
@@ -487,8 +536,8 @@ def check_conc(m, k, d, epsilon, delta, trials, rng):
                      gen.standard_normal((m, 1)))
         return *frame, gen.standard_normal(m), gen.permutation(m)
 
-    for chunk in _chunks(0, trials, m * k):
-        *frame, noise, perm = _draws(state, chunk, draw)
+    for chunk in streams.chunks(m * k):
+        *frame, noise, perm = streams.draws(chunk, draw)
         if k == 1:
             clean, = frame
             tilted = np.zeros((len(chunk), m, 0))
@@ -548,7 +597,7 @@ def check_ks14(m, k, d, delta, trials, rng):
             raise ValueError("need 1 <= d <= m")
         d = _check_int("d", d)
     delta = _check_real("delta", delta, 0.0, 1.0, "()")
-    state, tally = _start(rng, "ks14", trials, tol=1e-12)
+    streams, tally = _start(rng, "ks14", trials, tol=1e-12)
     ln_inv = math.log(1.0 / delta)
     ln_2k = math.log(2.0 * k / delta)
     beta = (1.0 + 2.0 * ln_inv) ** 2
@@ -560,8 +609,8 @@ def check_ks14(m, k, d, delta, trials, rng):
         return (gen.standard_normal((m, k)), gen.standard_normal(m),
                 gen.permutation(m))
 
-    for chunk in _chunks(0, trials, m * k):
-        raw, y, perm = _draws(state, chunk, draw)
+    for chunk in streams.chunks(m * k):
+        raw, y, perm = streams.draws(chunk, draw)
         basis = _full_frames(raw)
         resid_full = y - project(basis, y)
         r2_full = np.einsum("ti,ti->t", resid_full, resid_full)
@@ -642,8 +691,8 @@ def check_matcher(n_dim, r, L_bound, epsilon_chern, trials, rng, num_draws=200):
     _check_int("num_draws", num_draws)
     if L_bound is not None:
         L_bound = _check_real("L_bound", L_bound, 0.0, ends="()")
-    state, tally = _start(rng, "matcher", trials, tol=0.0)
-    gen = state.substream(0).generator()
+    streams, tally = _start(rng, "matcher", trials, tol=0.0, first=1)
+    gen = streams.state.substream(0).generator()
     rows = _full_frames(gen.standard_normal((n_dim, r))[None])[0]
     row_sq = np.einsum("ij,ij->i", rows, rows)
     max_row = float(np.max(row_sq))
@@ -655,9 +704,9 @@ def check_matcher(n_dim, r, L_bound, epsilon_chern, trials, rng, num_draws=200):
     tail = r * math.exp(ratio * (-eps - (1.0 - eps) * math.log1p(-eps)))
     cutoff = (1.0 - eps) * mu_r
 
-    for chunk in _chunks(1, trials + 1, num_draws * r):
-        idx, = _draws(state, chunk,
-                      lambda gen, t: (gen.integers(0, n_dim, size=num_draws),))
+    for chunk in streams.chunks(num_draws * r):
+        idx, = streams.draws(
+            chunk, lambda gen, t: (gen.integers(0, n_dim, size=num_draws),))
         sampled = rows[idx]
         lam_r = np.linalg.eigvalsh(
             scale * (np.swapaxes(sampled, 1, 2) @ sampled))[:, 0]

@@ -14,7 +14,8 @@ import re
 import numpy as np
 import pytest
 
-from adaptive_mc.lrebn import LrebnConfig, run_lrebn, updated_budget
+from adaptive_mc.lrebn import (LrebnConfig, angle_increment, run_lrebn,
+                               theorem_error_bound, updated_budget)
 from adaptive_mc.sampling import RngState
 from adaptive_mc.synthetic import (
     ObservationOracle,
@@ -58,6 +59,14 @@ ENTRY_POINTS = [
      lambda v, ctx: _config(omega_redraw=v)),
     ("updated_budget", "theta_tilde", "real", 0.5, (-0.1, 2.0),
      lambda v, ctx: updated_budget(_config(), 100, v)),
+    ("angle_increment", "theta_tilde_prev", "real", 0.1, (-1.0, 2.0),
+     lambda v, ctx: angle_increment(v, 0.5, _config(), 2)),
+    ("angle_increment", "theta_new_col", "real", 0.5, (-0.1, 2.0),
+     lambda v, ctx: angle_increment(0.1, v, _config(), 2)),
+    ("theorem_error_bound", "epsilon", "real", 0.1, (-0.5, 0.3),
+     lambda v, ctx: theorem_error_bound(100, 10, 1, v, 0.1)),
+    ("theorem_error_bound", "theta_tilde", "real", 0.1, (-0.1, 2.0),
+     lambda v, ctx: theorem_error_bound(100, 10, 1, 0.1, v)),
     ("generate_low_rank", "spike_weight", "real", 0.5, (-0.1, 1.1),
      lambda v, ctx: generate_low_rank(6, 5, 1, RngState(0),
                                       coherence_mode="spiked",
@@ -190,3 +199,14 @@ def test_estimate_mu_text_is_refused_not_read_as_true():
     result = run_lrebn(ObservationOracle(inst.M),
                        _config(estimate_mu=np.bool_(False)))
     assert [ev.mu for ev in result.budget_trace] == [1.0, 1.0, 1.0]
+
+
+@pytest.mark.parametrize("bad", [math.nan, -1.0, 2.0])
+def test_angle_increment_checks_its_angles_at_zero_noise(bad):
+    # At epsilon = 0 the estimate is returned as it is, so the angles are
+    # checked before that branch.
+    cfg = _config(epsilon=0.0)
+    with pytest.raises(ValueError, match=r"\btheta_tilde_prev\b"):
+        angle_increment(bad, 0.5, cfg, 2)
+    with pytest.raises(ValueError, match=r"\btheta_new_col\b"):
+        angle_increment(0.0, bad, cfg, 2)

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from adaptive_mc.sampling import (RngState, _check_index_set, as_generator,
-                                  sample_uniform_subset)
+from adaptive_mc.sampling import (RngState, _check_index_set, _philox_keys,
+                                  as_generator, sample_uniform_subset)
 
 
 def test_forced_full_subset():
@@ -122,3 +122,31 @@ def test_derived_seed_is_the_seed_sequence_word(seed, key):
     seq = np.random.SeedSequence(entropy=seed, spawn_key=key)
     expected = int(seq.generate_state(1, dtype=np.uint64)[0])
     assert RngState(seed, *key).derived_seed() == expected
+
+
+KEY_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64 + 5, 3**50]
+KEY_STREAMS = [(), (0,), (15,), (2**32 - 1,), (2**32,), (15, 7)]
+
+
+@pytest.mark.parametrize("stream", KEY_STREAMS)
+@pytest.mark.parametrize("seed", KEY_SEEDS)
+def test_philox_keys_are_the_seed_sequence_keys(seed, stream):
+    # 127/128 and 2**32 - 1/2**32 straddle a byte and a word boundary; the
+    # one-word and two-word indices are keyed in one call.
+    indices = np.array([0, 1, 127, 128, 2**32 - 1, 2**32, 2**32 + 9,
+                        2**64 - 1], dtype=np.uint64)
+    got = _philox_keys(RngState(seed, *stream), indices)
+    assert got.dtype == np.uint64 and got.shape == (len(indices), 2)
+    for t, key in zip(indices.tolist(), got):
+        seq = np.random.SeedSequence(entropy=seed, spawn_key=(*stream, t))
+        np.testing.assert_array_equal(key, seq.generate_state(2, np.uint64))
+
+
+def test_philox_keys_of_a_range_and_of_no_index():
+    state = RngState(9, 14)
+    got = _philox_keys(state, np.arange(300, dtype=np.uint64))
+    for t in range(300):
+        np.testing.assert_array_equal(
+            got[t], state.substream(t).generator().bit_generator.state[
+                "state"]["key"])
+    assert _philox_keys(state, np.arange(0, dtype=np.uint64)).shape == (0, 2)

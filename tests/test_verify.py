@@ -19,6 +19,7 @@ from adaptive_mc.sampling import RngState, sample_uniform_subset
 from adaptive_mc.verify import (
     CHECK_NAMES,
     CheckReport,
+    _TrialStreams,
     _frames,
     _full_frames,
     _head_masks,
@@ -175,6 +176,29 @@ def test_reports_do_not_depend_on_chunk_size(monkeypatch, chunk):
         assert {k: v for k, v in rep.params.items() if k not in ("L", "mu_r")} \
             == {k: v for k, v in ref.params.items() if k not in ("L", "mu_r")}
         assert rep.worst_margin == pytest.approx(ref.worst_margin, abs=1e-12)
+
+
+def _draw_all(gen):
+    return (gen.standard_normal((3, 4)), gen.uniform(), gen.uniform(size=5),
+            gen.integers(0, 7, size=5), gen.integers(2**40),
+            gen.permutation(11))
+
+
+@pytest.mark.parametrize("seed, stream", [
+    (0, (11,)), (2**32 + 1, (16,)), (2**64 + 5, (14,)), (5, (2**32, 15))])
+def test_rekeyed_generator_draws_what_a_fresh_substream_draws(
+        monkeypatch, seed, stream):
+    # Three trials per key pass, so trials 1..8 take three passes.
+    monkeypatch.setattr(verify, "_KEY_BLOCK", 3)
+    streams = _TrialStreams(RngState(seed, *stream), 1, 9)
+    for t in range(1, 9):
+        gen = streams.generator(t)
+        expected = _draw_all(RngState(seed, *stream, t).generator())
+        for got, want in zip(_draw_all(gen), expected):
+            np.testing.assert_array_equal(got, want)
+        # Leave a buffered 32-bit half-word for the next re-key to drop.
+        while not gen.bit_generator.state["has_uint32"]:
+            gen.random(dtype=np.float32)
 
 
 # ---------------------------------------------------------------------------

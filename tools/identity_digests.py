@@ -19,7 +19,10 @@ Each line is a label and the first 16 hex digits of a SHA-256:
   trial reads.  conc at k = 1 (default d and d = 40), which fits against
   0-dimensional bases; matcher at epsilon_chern = 0, where the tail
   bound is r; ks14 at d = 1, where no trial is applicable, so every
-  chunk fits an empty stack.
+  chunk fits an empty stack.  Then every trial-driven check at 200
+  trials for seeds whose trial keys hash more than one seed word
+  (``2**32 + 1``, ``2**64 + 5``) and for an ``RngState`` seed with a
+  label of its own (``RngState(5, 2**32)``, a two-word label).
 * ``cli``: each file the CLI writes for a fixed ``generate``, ``run``,
   ``sweep`` and ``verify``, the reruns that must stay byte-identical.
 * ``file``: the ``write_matrix`` bytes of an edge matrix (signed zeros,
@@ -146,6 +149,12 @@ def main():
         for seed in (0, 1, 7):
             rep = run_check(name, seed=seed, **overrides)
             print(f"report {label} seed={seed}: {digest(report_bytes(rep))}")
+    for label, seed in (("2**32+1", 2**32 + 1), ("2**64+5", 2**64 + 5),
+                        ("RngState(5, 2**32)", RngState(5, 2**32))):
+        print(f"report trials=200 seed={label}: " + ", ".join(
+            f"{name} "
+            f"{digest(report_bytes(run_check(name, trials=200, seed=seed)))}"
+            for name in CHECK_NAMES if name != "ededler"))
 
     inst = make_instance(2000, 60, 2, 0.01, 4)
     for redraw in ("on-update", "per-column"):
