@@ -35,6 +35,8 @@ in double precision.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .sampling import _check_index_set
@@ -129,6 +131,10 @@ class OrthonormalBasis:
 
 
 def _as_vector(y, expected_len, name="vector"):
+    # The common case first: asarray would return this very array.
+    if (type(y) is np.ndarray and y.dtype == np.float64
+            and y.shape == (expected_len,)):
+        return y
     y = np.asarray(y, dtype=float)
     if y.ndim != 1:
         raise ValueError(f"{name} must be 1-dimensional")
@@ -268,11 +274,12 @@ class RestrictedSolver:
             ``|| y_omega - B_omega coef ||_2``.
         """
         y = _as_vector(y_omega, self.omega.size, "y_omega")
-        coef = self._pinv @ y
-        res = y - self._restricted @ coef
-        # sqrt of one dot: what np.linalg.norm computes for a 1-D array.
-        residual = float(np.sqrt(res @ res))
-        return coef, residual
+        coef = np.dot(self._pinv, y)
+        # The residual is formed in the product's own buffer; its norm is
+        # the sqrt of one dot, what np.linalg.norm computes for a 1-D array.
+        res = np.dot(self._restricted, coef)
+        np.subtract(y, res, out=res)
+        return coef, math.sqrt(np.dot(res, res))
 
 
 def _frame(basis):

@@ -159,11 +159,14 @@ class ObservationOracle:
         self._check_col(j)
         m = self._hidden.shape[0]
         rows = _check_index_set(omega, m, IndexError)
+        full = rows.size == m
         with self._lock:
             held = self._reads[j]
             if held is not None:
-                self._reads[j] = None if rows.size == m else held + (rows,)
-        return self._hidden[:, j][rows]
+                self._reads[j] = None if full else held + (rows,)
+        # A row pattern is strictly increasing in [0, m), so one of size m
+        # is every row: a copy of the column, not a gather.
+        return self._hidden[:, j].copy() if full else self._hidden[:, j][rows]
 
     def entry(self, i, j):
         """Reveal and return the entry at (i, j), under the rules of

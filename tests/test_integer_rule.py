@@ -4,6 +4,7 @@ its bound.  A bool or a float is refused with a ``ValueError`` that names
 the parameter, never truncated, and before anything is drawn, read or
 written."""
 
+import enum
 import re
 
 import numpy as np
@@ -11,7 +12,7 @@ import pytest
 
 from adaptive_mc.lrebn import (LrebnConfig, angle_increment,
                                theorem_error_bound, updated_budget)
-from adaptive_mc.sampling import RngState, sample_uniform_subset
+from adaptive_mc.sampling import RngState, _check_int, sample_uniform_subset
 from adaptive_mc.synthetic import (
     ObservationOracle,
     generate_low_rank,
@@ -145,6 +146,39 @@ def test_bad_integer_rejected_by_name_before_any_draw(
 @pytest.mark.parametrize("where, name, low, call", ENTRY_POINTS, ids=IDS)
 def test_numpy_integer_accepted(ctx, where, name, low, call):
     call(np.int32(low + 1), ctx)
+
+
+class _Int(int):
+    pass
+
+
+class _Size(enum.IntEnum):
+    THREE = 3
+
+
+@pytest.mark.parametrize("value, low, want", [
+    (3, 1, 3), (0, 0, 0), (2**70, 1, 2**70), (_Int(3), 1, 3),
+    (_Size.THREE, 1, 3), (np.int64(3), 1, 3), (np.uint8(0), 0, 0),
+    (0, 1, "n must be a positive integer; got 0"),
+    (-1, 0, "n must be a non-negative integer; got -1"),
+    (-2**70, 0, f"n must be a non-negative integer; got {-2**70}"),
+    (_Int(0), 1, "n must be a positive integer; got 0"),
+    (np.int8(-1), 0, "n must be a non-negative integer; got -1"),
+    (True, 0, "n must be an integer; got True"),
+    (np.True_, 0, f"n must be an integer; got {np.True_!r}"),
+], ids=["int", "zero", "2**70", "int-subclass", "IntEnum", "int64", "uint8",
+        "zero-below-1", "negative", "-2**70", "int-subclass-below",
+        "int8-below", "True", "np.True_"])
+def test_check_int_returns_a_python_int_or_refuses(value, low, want):
+    # The plain-int fast path and the general rule agree: an integer at
+    # or above ``low`` comes back as a Python int of its value, and
+    # anything else is refused with the rule's message.
+    if isinstance(want, str):
+        with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+            _check_int("n", value, low)
+    else:
+        got = _check_int("n", value, low)
+        assert type(got) is int and got == want
 
 
 def test_numpy_integer_seed_and_labels_keep_the_stream():

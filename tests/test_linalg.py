@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -230,6 +231,38 @@ def test_solver_fit_matches_lstsq(case):
     assert solver.degenerate == (case != "full-rank")
     np.testing.assert_allclose(b.matrix @ coef, b.matrix @ ref_coef,
                                rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda y: y.tolist(), None),
+    (lambda y: y.astype(np.int64), None),
+    (lambda y: y.astype(np.float32), None),
+    (lambda y: y.astype(">f8"), None),
+    (np.ma.masked_array, None),
+    (lambda y: y[:4], "y_omega has length 4, expected 5"),
+    (lambda y: y.tolist() + [0.0], "y_omega has length 6, expected 5"),
+    (lambda y: y[:, None], "y_omega must be 1-dimensional"),
+    (lambda y: y[None, :], "y_omega must be 1-dimensional"),
+    (lambda y: y[0], "y_omega must be 1-dimensional"),
+    (lambda y: 3.0, "y_omega must be 1-dimensional"),
+], ids=["list", "int64", "float32", "big-endian", "masked", "short",
+        "long-list", "column", "row", "0-d", "scalar"])
+def test_solver_fit_reads_any_vector_as_its_float64_values(make, message):
+    # A float64 vector of the right length is fitted as it is; any other
+    # input is converted first, so a fit takes its values bit for bit,
+    # and refused with the same message when it is not such a vector.
+    b = random_basis(11, 10, 3)
+    solver = RestrictedSolver(b, np.array([0, 2, 3, 5, 8]))
+    y = np.array([3.0, -1.0, 4.0, 1.0, -5.0])
+    want_coef, want_residual = solver.fit(y)
+    np.testing.assert_array_equal(y, [3.0, -1.0, 4.0, 1.0, -5.0])
+    if message is None:
+        coef, residual = solver.fit(make(y))
+        assert coef.tobytes() == want_coef.tobytes()
+        assert type(residual) is float and residual == want_residual
+    else:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            solver.fit(make(y))
 
 
 # ---------------------------------------------------------------------------

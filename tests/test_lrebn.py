@@ -317,7 +317,31 @@ def test_omega_redraw_policies_differ_in_row_patterns():
     assert len({per_column[1], per_column[2], per_column[3]}) == 3
 
 
-def test_run_builds_one_solver_per_budget_event(monkeypatch):
+class CallLogOracle(ObservationOracle):
+    """Oracle that logs the column index of every ``entries`` and
+    ``column`` call."""
+
+    def __init__(self, hidden):
+        super().__init__(hidden)
+        self.entries_calls, self.column_calls = [], []
+
+    def entries(self, omega, j):
+        self.entries_calls.append(j)
+        return super().entries(omega, j)
+
+    def column(self, j):
+        self.column_calls.append(j)
+        return super().column(j)
+
+
+@pytest.mark.parametrize("m, n, r, epsilon, delta, seed, clamped", [
+    (80, 60, 3, 0.02, 0.05, 11, True),
+    (2000, 60, 2, 0.01, 0.09, 4, False),
+], ids=["clamped", "subsampled"])
+def test_run_builds_one_solver_per_budget_event(
+        monkeypatch, m, n, r, epsilon, delta, seed, clamped):
+    # One factorization per budget event, never per column; one
+    # restricted read per column and one full read per fired column.
     built = []
 
     class CountingSolver(RestrictedSolver):
@@ -328,12 +352,17 @@ def test_run_builds_one_solver_per_budget_event(monkeypatch):
             super().__init__(basis, omega)
 
     monkeypatch.setattr(lrebn, "RestrictedSolver", CountingSolver)
-    inst = make_instance(80, 60, 3, 0.02, seed=11)
-    cfg = cfg_for(epsilon=0.02, delta=0.05, r=3,
-                  mu=coherence(inst.true_basis), seed=11)
-    result = run_lrebn(ObservationOracle(inst.M), cfg)
+    inst = make_instance(m, n, r, epsilon, seed=seed)
+    mu = coherence(inst.true_basis) if clamped else 1.0
+    cfg = cfg_for(epsilon=epsilon, delta=delta, r=r, mu=mu, seed=seed)
+    oracle = CallLogOracle(inst.M)
+    result = run_lrebn(oracle, cfg)
+    assert {ev.d_drawn == m for ev in result.budget_trace} == {clamped}
     assert len(result.budget_trace) > 1
     assert built == [event.k for event in result.budget_trace]
+    assert oracle.entries_calls == list(range(n))
+    assert oracle.column_calls == [rec.index for rec in result.column_records
+                                   if rec.mode == "FullyObserved"]
 
 
 @pytest.mark.parametrize("policy", ["on-update", "per-column"])

@@ -596,14 +596,25 @@ def test_oracle_revalidates_omega_it_cannot_trust(kind):
     assert oracle.entry_count == 3
 
 
-def test_oracle_full_row_read_then_column_adds_nothing():
+@pytest.mark.parametrize("pattern", ["drawn", "arange"])
+def test_oracle_full_row_read_then_column_adds_nothing(pattern):
+    # A pattern of all m rows is read as a copy of the column: equal to
+    # it, the caller's own to write, and charged m once; a later partial
+    # read or full column adds nothing.
     m = 12
-    oracle = ObservationOracle(np.ones((m, 5)))
-    oracle.entries(np.arange(m), 2)
+    hidden = np.arange(m * 5.0).reshape(m, 5)
+    oracle = ObservationOracle(hidden)
+    rows = (sample_uniform_subset(m, m, RngState(3)) if pattern == "drawn"
+            else np.arange(m))
+    got = oracle.entries(rows, 2)
+    np.testing.assert_array_equal(got, hidden[:, 2])
     assert oracle.entry_count == m
-    oracle.column(2)
+    got[:] = -1.0
+    np.testing.assert_array_equal(oracle.entries(rows, 2), hidden[:, 2])
+    np.testing.assert_array_equal(oracle.column(2), hidden[:, 2])
     assert oracle.entry_count == m
-    oracle.entries(np.array([1, 4]), 2)
+    np.testing.assert_array_equal(oracle.entries(np.array([1, 4]), 2),
+                                  hidden[[1, 4], 2])
     assert oracle.entry_count == m
 
 

@@ -40,7 +40,11 @@ Each line is a label and the first 16 hex digits of a SHA-256:
   ``budget_trace``, the bytes of its ``coefs`` and its ``observations``.
   Then a 200x60 instance where every budget formula exceeds m, run with
   and without ``budget_cap_to_m``: the two lines differ, because the
-  uncapped run's thresholds use the formula's value.
+  uncapped run's thresholds use the formula's value.  Last, a 2000x300
+  instance at r = 10 with ``mu_upper`` the true basis's coherence, where
+  every budget clamps to m and k reaches 10, so every read is a
+  full-row pattern: the same digest plus the bytes of its
+  ``recovery_errors``.
 
 The digests of ``L`` depend on the BLAS build, so compare two trees on
 one machine; the script is not a test.
@@ -54,8 +58,8 @@ import tempfile
 import numpy as np
 
 from adaptive_mc import cli
-from adaptive_mc.linalg import OrthonormalBasis
-from adaptive_mc.lrebn import LrebnConfig, run_lrebn
+from adaptive_mc.linalg import OrthonormalBasis, coherence
+from adaptive_mc.lrebn import LrebnConfig, recovery_errors, run_lrebn
 from adaptive_mc.sampling import RngState
 from adaptive_mc.synthetic import (ObservationOracle, add_bounded_noise,
                                    make_instance, read_matrix, write_matrix)
@@ -180,6 +184,18 @@ def main():
             raise SystemExit("a 200x60 budget stayed within m")
         print(f"run 200x60 r=2 eps=0.01 delta=0.09 seed=4 "
               f"budget_cap_to_m={cap}: {digest(run_bytes(result))}")
+
+    inst = make_instance(2000, 300, 10, 0.01, 1)
+    cfg = LrebnConfig(epsilon=0.01, delta=0.05, r=10,
+                      mu_upper=coherence(inst.true_basis), seed=1)
+    result = run_lrebn(ObservationOracle(inst.M), cfg)
+    if (result.basis.dim < 10
+            or min(ev.d_drawn for ev in result.budget_trace) < 2000):
+        raise SystemExit("the 2000x300 run read a sub-sampled column or "
+                         "stopped below k = 10")
+    errors = recovery_errors(result, inst.L).tobytes()
+    print("run 2000x300 r=10 eps=0.01 delta=0.05 seed=1 clamped: "
+          f"{digest(run_bytes(result) + errors)}")
 
     with tempfile.TemporaryDirectory() as tmp:
         stdout = sys.stdout
