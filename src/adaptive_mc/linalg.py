@@ -131,10 +131,6 @@ class OrthonormalBasis:
 
 
 def _as_vector(y, expected_len, name="vector"):
-    # The common case first: asarray would return this very array.
-    if (type(y) is np.ndarray and y.dtype == np.float64
-            and y.shape == (expected_len,)):
-        return y
     y = np.asarray(y, dtype=float)
     if y.ndim != 1:
         raise ValueError(f"{name} must be 1-dimensional")

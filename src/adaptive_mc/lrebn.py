@@ -467,15 +467,13 @@ def run_lrebn(oracle, cfg):
     # observed in full.  At most m wide up front: k never exceeds m.
     coefs = np.zeros((n, min(cfg.r, m)))
     observed = {}
-    per_column = cfg.omega_redraw == REDRAW_PER_COLUMN
-    entries, record = oracle.entries, records.append
 
     for i in range(n):
-        if per_column:
+        if cfg.omega_redraw == REDRAW_PER_COLUMN:
             solver = _draw_solver(basis, event.d_budget, omega_rng)
-        coef, residual = solver.fit(entries(solver.omega, i))
+        coef, residual = solver.fit(oracle.entries(solver.omega, i))
         fired = column_test(residual, threshold)
-        record(ColumnRecord(
+        records.append(ColumnRecord(
             i, "FullyObserved" if fired else "Reconstructed", event.k,
             event.d_budget, event.theta_tilde, residual, threshold))
         if not fired:

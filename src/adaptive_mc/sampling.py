@@ -180,8 +180,6 @@ def _check_int(name, value, low=1):
     A bool or a float is refused, never truncated, even where it holds a
     whole number.
     """
-    if type(value) is int and value >= low:  # the common case; not a bool
-        return value
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer; got {value!r}")
     if value < low:

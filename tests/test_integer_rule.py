@@ -170,9 +170,9 @@ class _Size(enum.IntEnum):
         "zero-below-1", "negative", "-2**70", "int-subclass-below",
         "int8-below", "True", "np.True_"])
 def test_check_int_returns_a_python_int_or_refuses(value, low, want):
-    # The plain-int fast path and the general rule agree: an integer at
-    # or above ``low`` comes back as a Python int of its value, and
-    # anything else is refused with the rule's message.
+    # An integer at or above ``low`` comes back as a Python int of its
+    # value, whatever its integer type; anything else is refused with the
+    # rule's message.
     if isinstance(want, str):
         with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
             _check_int("n", value, low)

@@ -248,9 +248,9 @@ def test_solver_fit_matches_lstsq(case):
 ], ids=["list", "int64", "float32", "big-endian", "masked", "short",
         "long-list", "column", "row", "0-d", "scalar"])
 def test_solver_fit_reads_any_vector_as_its_float64_values(make, message):
-    # A float64 vector of the right length is fitted as it is; any other
-    # input is converted first, so a fit takes its values bit for bit,
-    # and refused with the same message when it is not such a vector.
+    # Any vector input is read as its float64 values, so a fit of it
+    # gives the float64 call's bits; anything that is not a vector of
+    # the pattern's length is refused with the same message.
     b = random_basis(11, 10, 3)
     solver = RestrictedSolver(b, np.array([0, 2, 3, 5, 8]))
     y = np.array([3.0, -1.0, 4.0, 1.0, -5.0])
