@@ -71,7 +71,9 @@ LSTSQ_RCOND = 1e-10
 
 # Size of one block of rows in the passes that walk an m x n float matrix a
 # block at a time (the oracle's copy, recovery_errors): small enough that a
-# block is still in cache for the pass's next step.
+# block is still in cache for the pass's next step.  It sets bits:
+# recovery_errors adds each column's squares one block's partial sum at a
+# time, so another block size changes the rounding of every error.
 _BLOCK_BYTES = 1 << 20
 
 

@@ -60,7 +60,7 @@ from .linalg import (
     vector_subspace_angle,
 )
 from .sampling import (RngState, _check_int, _check_mode, _check_real,
-                       sample_uniform_subset)
+                       _check_real_matrix, sample_uniform_subset)
 from .synthetic import _check_epsilon
 
 __all__ = [
@@ -513,13 +513,18 @@ def recovery_errors(result, L):
     the block of the recovered matrix is written and the reference rows
     are subtracted; the squares are summed per column.  A C-ordered
     reference (as generated and as read from file) is read once,
-    contiguously.
+    contiguously.  Each column's sum of squares is added up one block's
+    partial sum at a time, so the block height, and with it
+    ``linalg._BLOCK_BYTES``, fixes the order of the additions and thereby
+    the last bits of every error.
 
-    Raises ``ValueError`` when the reference's shape differs from the
-    result's, or when any distance is not finite (a NaN or inf in the
-    reference, or one beyond the float range).
+    Raises ``ValueError`` when the reference is not a matrix of integers
+    or floats (``sampling._check_real_matrix``: a bool, complex, str,
+    bytes, object or datetime one is refused, never parsed or cast), when
+    its shape differs from the result's, or when any distance is not
+    finite (a NaN or inf in the reference, or one beyond the float range).
     """
-    L = np.asarray(L, dtype=float)
+    L = np.asarray(_check_real_matrix("reference matrix", L), dtype=float)
     m, n = result.basis.ambient_dim, len(result.column_records)
     if L.shape != (m, n):
         raise ValueError("reference matrix shape does not match the result")

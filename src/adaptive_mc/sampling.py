@@ -26,6 +26,10 @@ One rule per kind of parameter a caller passes in, each raising
   refused, and NaN lies in no range.
 * ``_check_mode`` for a named mode: a str in the owning module's tuple
   of mode names.
+* ``_check_real_matrix`` for a matrix of real numbers (a hidden matrix,
+  a reference matrix): an array or array-like of an integer or floating
+  dtype.  A bool, complex, str, bytes, object or datetime array is
+  refused before any copy, never parsed or cast.
 
 A row pattern is a validated index set: a strictly increasing, read-only
 ``intp`` array over immutable memory, so no one can make it writable
@@ -226,6 +230,22 @@ def _check_mode(name, value, modes):
         raise ValueError(f"{name} must be one of {', '.join(modes)}; "
                          f"got {value!r}")
     return str(value)
+
+
+def _check_real_matrix(name, a):
+    """``a`` as an array if its dtype is an integer or floating one; else
+    ``ValueError`` naming ``name`` and the dtype.
+
+    An array passes through as it is.  A bool array, whose entries would
+    cast to 0.0 and 1.0, a complex one, whose imaginary parts a cast
+    would drop, and a str, bytes, object or datetime one, which a cast
+    would parse or turn into day counts, are refused.
+    """
+    a = np.asarray(a)
+    if a.dtype.kind not in "iuf":
+        raise ValueError(f"{name} must have an integer or floating dtype; "
+                         f"got {a.dtype}")
+    return a
 
 
 def _check_index_set(omega, ambient, range_error=ValueError):

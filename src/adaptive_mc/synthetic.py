@@ -25,7 +25,7 @@ import numpy as np
 
 from .linalg import OrthonormalBasis, _block_rows, coherence, orthonormalize
 from .sampling import (RngState, _check_index_set, _check_int, _check_mode,
-                       _check_real, as_generator)
+                       _check_real, _check_real_matrix, as_generator)
 
 __all__ = [
     "MAX_EPSILON",
@@ -109,25 +109,34 @@ class ObservationOracle:
     Every read is confined to one column, so the hidden matrix is stored
     column-major: each read gathers from contiguous memory.
 
+    The hidden matrix must hold integers or floats
+    (``sampling._check_real_matrix``): a bool, complex, str, bytes, object
+    or datetime array raises ``ValueError`` before anything is copied, as
+    does a NaN or an infinite entry.
+
     The oracle keeps a private, read-only copy: later writes to the
     caller's array do not change what it reveals.  The copy is made one
-    block of about a megabyte of rows at a time, and each block is checked
-    for non-finite entries while it is still in cache: transposing a
-    row-major input stays within cache, and the finite check allocates no
-    m x n mask.
+    block of about a megabyte of rows at a time.  Each block of the
+    caller's rows is first checked for non-finite entries, a sequential
+    read that brings it into cache, and then scattered into the
+    column-major store.  At n = 400 the scatter reads the source at a
+    3,200-byte stride, which the hardware prefetcher does not follow from
+    main memory; from cache it is cheap.  The check allocates no m x n
+    mask.  A caller who writes to the array while the constructor runs is
+    racing with the copy, as with any numpy copy.
     """
 
     def __init__(self, hidden):
-        hidden = np.asarray(hidden)
+        hidden = _check_real_matrix("hidden matrix", hidden)
         if hidden.ndim != 2:
             raise ValueError("hidden matrix must be 2-dimensional")
         store = np.empty(hidden.shape, order="F")
         height = _block_rows(hidden.shape[1])
         for i0 in range(0, hidden.shape[0], height):
-            block = store[i0:i0 + height]
-            block[...] = hidden[i0:i0 + height]
-            if not np.isfinite(block).all():
+            rows = hidden[i0:i0 + height]
+            if not np.isfinite(rows).all():
                 raise ValueError("hidden matrix entries must be finite")
+            store[i0:i0 + height] = rows
         store.flags.writeable = False
         self._hidden = store
         self._reads = [()] * hidden.shape[1]   # per column; None = full

@@ -5,16 +5,20 @@ float inside a stated range), ``LrebnConfig``'s flag check for a switch
 the owning module's tuple).  A value of the wrong kind or outside the
 range is refused with a ``ValueError`` that names the parameter, never
 converted, and before anything is drawn, read or written.  The harness
-is ``test_integer_rule.py``'s."""
+is ``test_integer_rule.py``'s.  A matrix of reals (the oracle's hidden
+matrix, ``recovery_errors``' reference) is held to
+``sampling._check_real_matrix``: an integer or floating dtype."""
 
 import dataclasses
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from adaptive_mc.lrebn import (LrebnConfig, angle_increment, run_lrebn,
+from adaptive_mc.lrebn import (LrebnConfig, angle_increment,
+                               recovery_errors, run_lrebn,
                                theorem_error_bound, updated_budget)
 from adaptive_mc.sampling import RngState
 from adaptive_mc.synthetic import (
@@ -210,3 +214,52 @@ def test_angle_increment_checks_its_angles_at_zero_noise(bad):
         angle_increment(bad, 0.5, cfg, 2)
     with pytest.raises(ValueError, match=r"\btheta_new_col\b"):
         angle_increment(0.0, bad, cfg, 2)
+
+
+# A matrix of each dtype, built from one 200 x 100 float matrix (or its
+# entries' indices, for datetime64), and whether the matrix rule takes it.
+_REAL = np.random.default_rng(3).standard_normal((200, 100))
+MATRIX_DTYPES = [
+    ("bool", _REAL > 0, False),
+    ("complex", _REAL + 1j, False),
+    ("str", _REAL.astype(str), False),
+    ("bytes", _REAL.astype("S24"), False),
+    ("object", _REAL.astype(object), False),
+    ("datetime64",
+     np.arange(_REAL.size).reshape(_REAL.shape).astype("datetime64[D]"),
+     False),
+    ("float32", _REAL.astype(np.float32), True),
+    ("uint8", (_REAL * 40 + 128).clip(0, 255).astype(np.uint8), True),
+    ("int64", (_REAL * 1e6).astype(np.int64), True),
+]
+
+
+@pytest.fixture(scope="module")
+def real_result():
+    return run_lrebn(ObservationOracle(_REAL), _config())
+
+
+@pytest.mark.parametrize("name, call", [
+    ("hidden matrix", lambda a, result: ObservationOracle(a)._hidden),
+    ("reference matrix", lambda a, result: recovery_errors(result, a)),
+], ids=["ObservationOracle", "recovery_errors"])
+@pytest.mark.parametrize("dtype, a, taken", MATRIX_DTYPES,
+                         ids=[row[0] for row in MATRIX_DTYPES])
+def test_matrix_dtype_taken_as_float64_or_refused_before_a_copy(
+        real_result, name, call, dtype, a, taken):
+    if taken:
+        got = call(a, real_result)
+        want = call(a.astype(np.float64), real_result)
+        assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+        return
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=re.escape(
+                f"{name} must have an integer or floating dtype; "
+                f"got {a.dtype}")):
+            call(a, real_result)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # A float64 copy of the matrix would take 160,000 bytes.
+    assert peak < 8 * _REAL.size // 4, peak

@@ -641,7 +641,7 @@ def test_oracle_memory_order_does_not_change_reads():
         assert oracles[0].entry_count == oracles[1].entry_count
 
 
-# The oracle copies and checks its input a block of rows at a time: with
+# The oracle checks and then copies its input a block of rows at a time: with
 # 1000 columns the blocks are _block_rows(1000) = 131 rows high, and 400
 # rows make three full blocks and a partial one.
 _TILED = (400, 1000)
@@ -667,19 +667,44 @@ def test_oracle_builds_on_an_empty_matrix(shape):
         assert oracle.column(shape[1] - 1).shape == (0,)
 
 
-@pytest.mark.parametrize("order", ["C", "F"])
-def test_oracle_reads_its_own_copy(order):
-    hidden = np.asarray(np.random.default_rng(4).standard_normal(_TILED),
-                        order=order)
+# _TILED matrices in each memory layout the oracle copies from.  The three
+# views' row blocks are strided in memory: none is C-ordered.
+_LAYOUTS = {
+    "C": lambda gen: gen.standard_normal(_TILED),
+    "F": lambda gen: np.asfortranarray(gen.standard_normal(_TILED)),
+    "strided": lambda gen: gen.standard_normal(
+        (_TILED[0], 2 * _TILED[1]))[:, ::2],
+    "transposed": lambda gen: gen.standard_normal(_TILED[::-1]).T,
+    "reversed": lambda gen: gen.standard_normal(_TILED)[::-1],
+}
+_VIEWS = ["strided", "transposed", "reversed"]
+
+
+@pytest.mark.parametrize("layout", list(_LAYOUTS))
+def test_oracle_reads_its_own_copy(layout):
+    hidden = _LAYOUTS[layout](np.random.default_rng(4))
     saved = hidden.copy()
     oracle = ObservationOracle(hidden)
+    store = oracle._hidden
+    assert store.flags.f_contiguous
+    assert store.tobytes() == saved.tobytes()
     hidden[:] = np.nan
+    assert store.tobytes() == saved.tobytes()
     for j in (0, 500, 999):
         np.testing.assert_array_equal(oracle.column(j), saved[:, j])
     omega = np.arange(0, _TILED[0], 7)
     np.testing.assert_array_equal(oracle.entries(omega, 3), saved[omega, 3])
     np.testing.assert_array_equal(oracle.entry(399, 998), saved[399, 998])
     assert not oracle._hidden.flags.writeable
+
+
+@pytest.mark.parametrize("layout", _VIEWS)
+def test_oracle_rejects_a_non_finite_entry_in_a_views_partial_block(layout):
+    hidden = _LAYOUTS[layout](np.random.default_rng(9))
+    assert hidden.base is not None and not hidden.flags.c_contiguous
+    hidden[_TILED[0] - 1, 617] = np.nan
+    with pytest.raises(ValueError, match="must be finite"):
+        ObservationOracle(hidden)
 
 
 def test_oracle_construction_allocates_only_its_store():

@@ -12,6 +12,10 @@ Each line is a label and the first 16 hex digits of a SHA-256:
   column taller than one row block, two columns and several row blocks;
   ``zero-noise``: ``add_bounded_noise`` with epsilon = 0 on an ``L``
   holding ``-0.0`` entries.
+* ``oracle``: the store an ``ObservationOracle`` builds from the
+  3000x300 sphere instance's ``M`` as given (C-ordered), from an F-order
+  copy and from a strided view (every other column): the store's bytes
+  in memory order and its F-contiguous and read-only flags.
 * ``report``: each ``verify.run_check`` report at default trials for
   seeds 0, 1 and 7, and for the same seeds the reports of a few
   overrides.  conc at d = 40: its default budget clamps to d = m = 200,
@@ -139,6 +143,14 @@ def main():
     L = -np.eye(6, 4)
     inst = add_bounded_noise(L, 0.0, RngState(0), OrthonormalBasis(np.eye(6, 4)))
     print(f"zero-noise 6x4 with -0.0 in L: M {digest(inst.M.tobytes())}")
+
+    M = make_instance(3000, 300, 4, 0.05, 3).M
+    for label, hidden in (("C", M), ("F copy", np.asfortranarray(M)),
+                          ("strided view", M[:, ::2])):
+        store = ObservationOracle(hidden)._hidden
+        flags = repr((store.flags.f_contiguous, store.flags.writeable))
+        print(f"oracle M 3000x300 r=4 eps=0.05 seed=3 sphere {label}: "
+              f"{digest(store.tobytes(order='A') + flags.encode())}")
 
     for seed in (0, 1, 7):
         print(f"report seed={seed}: " + ", ".join(
